@@ -13,11 +13,21 @@ Inside ``no_grad()`` ops compute values only and record nothing.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quantcore import QuantScheme, SchemeKind, dequantize, fake_quant, quantize
+from .quantcore import (
+    E2M1_GRID,
+    SQRT7,
+    QuantizedTensor,
+    QuantScheme,
+    SchemeKind,
+    dequantize,
+    quantize,
+)
 from .sparsify import measure_sparsity, topk_mask
 
 _GRAD_ENABLED = True
@@ -42,11 +52,12 @@ class MissingTraceError(RuntimeError):
 class Var:
     """Node in the reverse-mode tape."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "_traced")
+    __slots__ = ("value", "grad", "_parents", "_backward", "_traced", "_codes")
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self._codes = None  # weight-code cache, see weight_codes
         self._parents: tuple[Var, ...] = tuple(parents) if _GRAD_ENABLED else ()
         self._backward = backward if _GRAD_ENABLED else None
         self._traced = _GRAD_ENABLED
@@ -280,50 +291,99 @@ def fake_quant_ste(a: Var, transform) -> Var:
     return Var(out, (a,), lambda g: (g,))
 
 
-def _input_codes(xv: np.ndarray, scheme: QuantScheme, k_fraction: float | None):
-    """Quantize a bitlinear input, returning integer-valued codes, the
-    per-row multiplier that maps code-products back to values, the
-    dequantized operand, and the keep-mask (all-ones when k is off).
+# Code-product multiplier per bitlinear input scheme: a product of input and
+# weight codes times (group scale / divisor) * alpha is the projection.
+_ROW_DIVISOR = {
+    SchemeKind.INT8_ABSMAX: 127.0,
+    SchemeKind.INT4_ABSMEAN: SQRT7,
+    SchemeKind.FP4_MINMAX: 2.0,
+}
+# fp4 codes index the E2M1 grid, whose points lie on a half-integer lattice;
+# doubled, they are the integers -12..12 (index i + 7 holds code i).
+_FP4_DOUBLED = np.array(
+    [np.sign(c) * 2.0 * E2M1_GRID[abs(c)] for c in range(-7, 8)], dtype=np.float32
+)
 
-    The codes are exact small integers in float64, so code-level matmuls are
-    order-free; fp4 grid values live on a half-integer lattice and are
-    doubled into integers with the 1/2 folded into the multiplier.
+# Largest |code| a bitlinear input can hold (int8's -128); a float32 sum of
+# K such codes times ternary codes stays exact while K * 128 <= 2^24.
+_MAX_INPUT_CODE = 128
+
+
+@dataclass(frozen=True)
+class InputCodes:
+    """A bitlinear input as integer-valued float32 ``codes`` (top-K masked),
+    the per-row ``row_factor`` that maps code products back to values, and the
+    keep-``mask`` (None when k is off)."""
+
+    codes: np.ndarray
+    row_factor: np.ndarray
+    mask: np.ndarray | None
+    quantized: QuantizedTensor
+
+    def values(self) -> np.ndarray:
+        """The dequantized, masked input: the operand the matmul consumes."""
+        deq = dequantize(self.quantized)
+        return deq if self.mask is None else deq * self.mask
+
+
+def input_codes(xv, scheme: QuantScheme, k_fraction: float | None = None) -> InputCodes:
+    """Quantize a bitlinear input to codes, row factors and the top-K mask.
+
+    This is the one place a projection input becomes integer codes; the
+    dense and gate-first FFN paths and the sparsity reports all read it.
     """
-    q = quantize(xv, scheme)
-    codes = q.codes.astype(np.float64)
-    scales = np.asarray(q.scales, dtype=np.float64)[..., None]
-    if scheme.kind is SchemeKind.INT8_ABSMAX:
-        factor = scales / 127.0
-    elif scheme.kind is SchemeKind.INT4_ABSMEAN:
-        factor = scales / np.sqrt(7.0)
-    elif scheme.kind is SchemeKind.FP4_MINMAX:
-        from .quantcore import E2M1_GRID
-
-        codes = np.sign(codes) * (2.0 * E2M1_GRID[np.abs(q.codes).astype(np.int64)])
-        factor = scales / 2.0
-    else:
+    divisor = _ROW_DIVISOR.get(scheme.kind)
+    if divisor is None:
         raise ValueError(f"unsupported bitlinear input scheme {scheme.kind}")
-    deq = dequantize(q)
+    q = quantize(xv, scheme)
+    if scheme.kind is SchemeKind.FP4_MINMAX:
+        codes = _FP4_DOUBLED[q.codes + 7]
+    else:
+        codes = q.codes.astype(np.float32)
+    row_factor = np.asarray(q.scales, dtype=np.float64)[..., None] / divisor
+    mask = None
     if k_fraction is not None:
         mask = topk_mask(xv, k_fraction).mask
-        codes = codes * mask
-        deq = deq * mask
-    else:
-        mask = None
-    return codes, factor, deq, mask
+        codes *= mask
+    return InputCodes(codes, row_factor, mask, q)
 
 
-def input_view(xv, scheme: QuantScheme | None, k_fraction: float | None = None) -> np.ndarray:
-    """The exact tensor a bitlinear matmul consumes for a given input
-    binding: quantized and masked as configured, or the input itself when
-    the binding is identity."""
-    xv = np.asarray(xv, dtype=np.float64)
-    if scheme is None and k_fraction is None:
-        return xv
-    if scheme is None:
-        raise ValueError("top-K masking requires a quantizing input scheme")
-    _, _, deq, _ = _input_codes(xv, scheme, k_fraction)
-    return deq
+def weight_codes(w: Var, scheme: QuantScheme) -> QuantizedTensor:
+    """Quantized latent weights whose codes are float32, ready for the code
+    matmul.
+
+    Under ``no_grad`` the result is cached on the Var, keyed on the identity
+    of ``w.value`` and on the scheme. The optimizer rebinds ``w.value`` on
+    every update, which invalidates the entry; the cached array is marked
+    read-only so an in-place write fails instead of serving stale codes. The
+    cache holds only a weak reference to the array it was built from.
+    """
+    wv = w.value
+    hit = w._codes
+    if hit is not None and hit[0]() is wv and hit[1] == scheme:
+        return hit[2]
+    q = quantize(wv, scheme)
+    codes = q.codes.astype(np.float32)
+    codes.flags.writeable = False
+    q = QuantizedTensor(codes, q.scales, scheme)
+    if not _GRAD_ENABLED:
+        wv.flags.writeable = False
+        w._codes = (weakref.ref(wv), scheme, q)
+    return q
+
+
+def code_matmul(codes: np.ndarray, wcodes: np.ndarray) -> np.ndarray:
+    """codes @ wcodes.T over float32 integer codes, returned as float64.
+
+    Every product and partial sum is an integer of magnitude at most
+    128 * K <= 2^24, so float32 holds each exactly and the result equals the
+    float64 product bit for bit, whatever the summation order.
+    """
+    k = codes.shape[-1]
+    if k * _MAX_INPUT_CODE > 2**24:
+        raise ValueError(f"a code matmul over K={k} would not be exact in float32")
+    flat = codes.reshape(-1, k) @ wcodes.T
+    return flat.astype(np.float64).reshape(*codes.shape[:-1], wcodes.shape[0])
 
 
 def bitlinear(
@@ -345,45 +405,44 @@ def bitlinear(
 
     STE: dx is the upstream gradient times the dequantized weight (gated by
     the top-K mask unless ``mask_in_adjoint`` is off); dw is the upstream
-    gradient times the dequantized, masked input.
+    gradient times the dequantized, masked input. Both operands are
+    dequantized only when the adjoint, the stats or a non-code product needs
+    them.
     """
     x, w = as_var(x), as_var(w)
     xv, wv = x.value, w.value
     if wv.ndim != 2 or xv.shape[-1] != wv.shape[1]:
         raise ValueError(f"bitlinear shape mismatch: {xv.shape} @ {wv.shape}.T")
+    if input_scheme is None and k_fraction is not None:
+        raise ValueError("top-K masking requires a quantizing input scheme")
 
-    if weight_scheme is None:
-        fqw = wv
-        wcodes = None
-    else:
-        qw = quantize(wv, weight_scheme)
-        wcodes = qw.codes.astype(np.float64)
-        walpha = float(qw.scales)
-        fqw = dequantize(qw)
+    qw = None if weight_scheme is None else weight_codes(w, weight_scheme)
+    xin = None if input_scheme is None else input_codes(xv, input_scheme, k_fraction)
 
-    if input_scheme is None and k_fraction is None:
-        fqx = xv
-        y = xv @ fqw.T
+    def fq_weights():
+        return wv if qw is None else dequantize(qw)
+
+    def fq_input():
+        return xv if xin is None else xin.values()
+
+    if xin is not None and qw is not None:
+        y = code_matmul(xin.codes, qw.codes)
+        y *= xin.row_factor
+        y *= float(qw.scales)
     else:
-        if input_scheme is None:
-            raise ValueError("top-K masking requires a quantizing input scheme")
-        codes, factor, fqx, mask = _input_codes(xv, input_scheme, k_fraction)
-        if wcodes is not None:
-            y = (codes @ wcodes.T) * factor * walpha
-        else:
-            y = fqx @ fqw.T
+        y = fq_input() @ fq_weights().T
     if stats is not None and stats_key is not None:
-        stats[stats_key] = measure_sparsity(fqx)
+        stats[stats_key] = measure_sparsity(fq_input())
         sink = stats.get("capture")
         if sink is not None and stats_key in sink:
             sink[stats_key].append(xv.reshape(-1, xv.shape[-1]).copy())
 
     def backward(g):
-        dx = g @ fqw
+        dx = g @ fq_weights()
         if k_fraction is not None and mask_in_adjoint:
-            dx = dx * mask
+            dx = dx * xin.mask
         g2 = g.reshape(-1, wv.shape[0])
-        dw = g2.T @ fqx.reshape(-1, wv.shape[1])
+        dw = g2.T @ fq_input().reshape(-1, wv.shape[1])
         return dx, dw
 
     return Var(y, (x, w), backward)

@@ -2,11 +2,12 @@
 schemes, the squared-ReLU gated FFN, and attention with post-rotation low-bit
 key/value handling.
 
-Every projection quantizes its latent weights ternary on the fly; what varies
-by site and stage is only the input treatment (which quantizer, and whether a
-top-K mask is composed in front of the attention output projection). The
-key/value path quantizes per head per position after the rotary embedding,
-keeping absolute position 0 at 4 bits when the rest of the cache runs at 3.
+Every projection multiplies ternary weight codes (cached while gradients are
+off, see ``autodiff.weight_codes``); what varies by site and stage is only
+the input treatment (which quantizer, and whether a top-K mask is composed
+in front of the attention output projection). The key/value path quantizes
+per head per position after the rotary embedding, keeping absolute position
+0 at 4 bits when the rest of the cache runs at 3.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class BitLinearLayer:
 class RopeParams:
     head_dim: int
     base: float = 10000.0
-    max_positions: int = 4096
 
     def __post_init__(self):
         if self.head_dim % 2 != 0:
@@ -98,7 +98,9 @@ def relu2glu(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer,
         # effective up-projection sparsity: a multiply is skipped when the
         # input entry is zero or the gate killed the output channel, so the
         # composition is exact per token and averaged over tokens
-        consumed = ad.input_view(x.value, up_layer.input_scheme, up_layer.k_fraction)
+        consumed = x.value
+        if up_layer.input_scheme is not None:
+            consumed = ad.input_codes(consumed, up_layer.input_scheme, up_layer.k_fraction).values()
         in_zeros = np.mean(consumed == 0.0, axis=-1)
         act_zeros = np.mean(act.value == 0.0, axis=-1)
         stats["gate_activation"] = float(np.mean(act_zeros))
@@ -118,23 +120,22 @@ def relu2glu_gate_first(x: np.ndarray, up_layer: BitLinearLayer, gate_layer: Bit
     x = np.asarray(x, dtype=np.float64)
     with ad.no_grad():
         gate = bitlinear_forward(gate_layer, x).value
+        qw = ad.weight_codes(up_layer.latent_weights, up_layer.weight_scheme)
     r = np.maximum(gate, 0.0)
     act = r * r  # same multiply the dense activation op performs
     lead = x.shape[:-1]
     flat_x = x.reshape(-1, x.shape[-1])
     flat_act = act.reshape(-1, act.shape[-1])
 
-    codes, factor, _, _ = ad._input_codes(flat_x, up_layer.input_scheme, up_layer.k_fraction)
-    qw = quantize(up_layer.latent_weights.value, up_layer.weight_scheme)
-    wcodes = qw.codes.astype(np.float64)
+    xin = ad.input_codes(flat_x, up_layer.input_scheme, up_layer.k_fraction)
     walpha = float(qw.scales)
 
     out = np.zeros_like(flat_act)
     for row, active in enumerate(gate_active_channels(flat_act)):
         if active.size == 0:
             continue
-        partial = codes[row] @ wcodes[active].T
-        out[row, active] = partial * factor[row] * walpha * flat_act[row, active]
+        partial = ad.code_matmul(xin.codes[row], qw.codes[active])
+        out[row, active] = partial * xin.row_factor[row] * walpha * flat_act[row, active]
     return out.reshape(*lead, -1)
 
 
@@ -290,10 +291,3 @@ def attention_forward(
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, t, h))
     return bitlinear_forward(out_layer, ctx, stats=stats)
 
-
-def rope_apply(q_or_k, positions, rope_params: RopeParams):
-    """Pairwise rotary embedding on the last axis; accepts arrays or Vars."""
-    if isinstance(q_or_k, Var):
-        return ad.rope(q_or_k, positions, rope_params.base)
-    with ad.no_grad():
-        return ad.rope(Var(q_or_k), positions, rope_params.base).value

@@ -108,7 +108,7 @@ class TransformerModel:
             )
         self.final_norm = Var(np.ones(h))
         self.head = Var(rng.standard_normal((v, h)) * 0.02)
-        self.rope = RopeParams(head_dim=config.head_dim, max_positions=config.seq_len)
+        self.rope = RopeParams(head_dim=config.head_dim)
         configure_stage(self, config.stage)
 
     def named_parameters(self) -> dict[str, Var]:

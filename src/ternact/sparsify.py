@@ -1,11 +1,11 @@
-"""Top-K magnitude masking, the sparsify-then-quantize composite, and
-sparsity measurement.
+"""Top-K magnitude masking and sparsity measurement.
 
 Masking is per token row along the last axis: each row keeps its
 ``max(1, round(k_fraction * n))`` largest-magnitude entries, ties broken by
-lowest index. The composite quantizes first (scale from the full row) and
-masks after, so dropped entries are exact zeros while kept entries see the
-same scale they would without masking.
+lowest index. Bitlinear inputs compose the mask after quantization
+(``autodiff.input_codes``): the scale comes from the full row, so dropped
+entries are exact zeros while kept entries see the same scale they would
+without masking.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantcore import Granularity, QuantScheme, _as_checked_array, fake_quant
+from .quantcore import _as_checked_array
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,6 @@ class TopKMask:
     def shape(self) -> tuple[int, ...]:
         return self.mask.shape
 
-    def packed(self) -> np.ndarray:
-        """Bit-packed rows for debug dumps."""
-        return np.packbits(self.mask, axis=-1)
-
 
 def kept_count(width: int, k_fraction: float) -> int:
     """Entries kept per row: max(1, round(k * n)), half rounding up."""
@@ -46,32 +42,25 @@ def kept_count(width: int, k_fraction: float) -> int:
 def topk_mask(x, k_fraction: float) -> TopKMask:
     """Keep the largest-magnitude entries of each row along the last axis."""
     x = _as_checked_array(x)
-    kept = kept_count(x.shape[-1], k_fraction)
-    mask = np.zeros(x.shape, dtype=bool)
-    if kept >= x.shape[-1]:
-        mask[...] = True
+    width = x.shape[-1]
+    kept = kept_count(width, k_fraction)
+    if kept >= width:
+        mask = np.ones(x.shape, dtype=bool)
     else:
-        # stable sort on negated magnitudes puts the lowest index first
-        # among ties, which fixes the tie-break deterministically
-        order = np.argsort(-np.abs(x), axis=-1, kind="stable")
-        np.put_along_axis(mask, order[..., :kept], True, axis=-1)
+        # the kept-th largest magnitude is the row's threshold; everything
+        # above it is kept, and so are its ties as long as they fit
+        mag = np.abs(x)
+        threshold = np.partition(mag, width - kept, axis=-1)[..., width - kept, None]
+        mask = mag >= threshold
+        crowded = np.count_nonzero(mask, axis=-1) > kept
+        if crowded.any():
+            # too many ties at the threshold: the lowest indices win
+            m, t = mag[crowded], threshold[crowded]
+            above, tied = m > t, m == t
+            room = kept - np.count_nonzero(above, axis=-1)
+            mask[crowded] = above | (tied & (np.cumsum(tied, axis=-1) <= room[..., None]))
     counts = np.full(x.shape[:-1], kept, dtype=np.int64)
     return TopKMask(mask=mask, k_fraction=float(k_fraction), kept_counts=counts)
-
-
-def sparsify_then_quantize(
-    x,
-    k_fraction: float,
-    granularity: Granularity = Granularity.PER_TOKEN,
-) -> np.ndarray:
-    """Int8 fake-quantize the full tensor, then zero the dropped entries.
-
-    The scale comes from the unmasked input, so masking never changes what
-    the kept entries quantize to.
-    """
-    x = _as_checked_array(x)
-    mask = topk_mask(x, k_fraction).mask
-    return fake_quant(x, QuantScheme.int8(granularity)) * mask
 
 
 def measure_sparsity(x) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import Stage, TransformerModel, configure_identity, configure_stage, model_forward
-from .quantcore import SchemeKind
+from .quantcore import QuantScheme, fake_quant
 from .sparsify import topk_mask
 
 
@@ -125,18 +125,6 @@ def lr_schedule(step: int, config: TrainerConfig) -> tuple[float, float]:
     t = (step - s1) / max(1, config.total_steps - s1)
     lr = config.second_stage_lr * 0.5 * (1.0 + math.cos(math.pi * t))
     return lr, config.wd_second
-
-
-def ste_backward(op_kind, upstream_grad: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Straight-through adjoint: quantizers pass the upstream gradient
-    through unchanged (the identical array); the top-K mask gates it."""
-    if op_kind == "topk_mask":
-        if mask is None:
-            raise ValueError("topk_mask backward needs the mask")
-        return upstream_grad * mask
-    if isinstance(op_kind, SchemeKind) or op_kind in {k.value for k in SchemeKind}:
-        return upstream_grad
-    raise ValueError(f"unknown straight-through op kind: {op_kind!r}")
 
 
 def global_grad_norm(params: dict[str, ad.Var]) -> float:
@@ -278,6 +266,54 @@ def _relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-6)
 
 
+# Every scheme a bitlinear input can take, and every quantizer.
+BITLINEAR_INPUTS = (QuantScheme.int8(), QuantScheme.int4(), QuantScheme.int4(multiplier=2.0), QuantScheme.fp4())
+QUANTIZERS = (QuantScheme.ternary(), *BITLINEAR_INPUTS, QuantScheme.unsigned(3), QuantScheme.unsigned(4))
+
+
+def ste_contract(rng: np.random.Generator) -> tuple[bool, bool]:
+    """Check the straight-through contract through the live adjoints.
+
+    ``fake_quant_ste`` under every quantizer must hand the upstream gradient
+    object back unchanged. ``bitlinear`` under every input scheme must give
+    dx = g @ fq(w) and dw = g^T @ fq(x) bit for bit. With top-K on, dw sees
+    the masked input, and dx is gated by the mask unless ``mask_in_adjoint``
+    is off. Returns (pass-through ok, top-K gating ok).
+    """
+    x = rng.standard_normal((4, 8))
+    identity_ok = True
+    for scheme in QUANTIZERS:
+        g = rng.standard_normal(x.shape)
+        out = ad.fake_quant_ste(ad.Var(x), lambda z, s=scheme: fake_quant(z, s))
+        identity_ok = identity_ok and out._backward(g)[0] is g
+
+    ternary = QuantScheme.ternary()
+    w = ad.Var(rng.standard_normal((3, 8)))
+    fqw = fake_quant(w.value, ternary)
+    k_fraction = 0.5
+    mask = topk_mask(x, k_fraction).mask
+    topk_ok = True
+    for scheme in BITLINEAR_INPUTS:
+        for k, gated in ((None, False), (k_fraction, True), (k_fraction, False)):
+            xv = ad.Var(x)
+            w.zero_grad()
+            y = ad.bitlinear(xv, w, scheme, k_fraction=k, weight_scheme=ternary, mask_in_adjoint=gated)
+            g = rng.standard_normal(y.shape)
+            ad.vsum(ad.mul(y, ad.Var(g))).backward()
+            fqx = fake_quant(x, scheme)
+            if k is not None:
+                fqx = fqx * mask
+            dx = g @ fqw
+            if gated:
+                dx = dx * mask
+            ok = np.array_equal(xv.grad, dx) and np.array_equal(w.grad, g.T @ fqx)
+            if k is None:
+                identity_ok = identity_ok and ok
+            else:
+                topk_ok = topk_ok and ok
+    return bool(identity_ok), bool(topk_ok)
+
+
 def grad_check_ste(
     model: TransformerModel,
     batch: tuple[np.ndarray, np.ndarray],
@@ -308,6 +344,9 @@ def grad_check_ste(
     worst = 0.0
     n_checked = 0
     for name, p in params.items():
+        # perturb a private copy: the model's own array may be read-only
+        # (see autodiff.weight_codes)
+        p.value = p.value.copy()
         flat = p.value.reshape(-1)
         idx = rng.choice(flat.size, size=min(samples_per_tensor, flat.size), replace=False)
         worst_here = 0.0
@@ -324,29 +363,14 @@ def grad_check_ste(
         per_param[name] = worst_here
         worst = max(worst, worst_here)
 
-    # straight-through identity, checked through the live op
-    x = ad.Var(rng.standard_normal((4, 8)))
-    upstream = rng.standard_normal((4, 8))
-    from .quantcore import QuantScheme, fake_quant
-
-    out = ad.fake_quant_ste(x, lambda z: fake_quant(z, QuantScheme.int4()))
-    ad.vsum(ad.mul(out, ad.Var(upstream))).backward()
-    ste_ok = np.array_equal(x.grad, upstream)
-    for kind in SchemeKind:
-        g = rng.standard_normal((3, 5))
-        ste_ok = ste_ok and (ste_backward(kind, g) is g)
-
-    g = rng.standard_normal((6, 10))
-    mask = topk_mask(rng.standard_normal((6, 10)), 0.5).mask
-    gated = ste_backward("topk_mask", g, mask=mask)
-    topk_ok = np.all(gated[~mask] == 0.0) and np.array_equal(gated[mask], g[mask])
+    ste_ok, topk_ok = ste_contract(rng)
 
     configure_stage(model, model.config.stage)
     return GradCheckReport(
         max_rel_error=worst,
         n_coordinates=n_checked,
         per_param=per_param,
-        ste_identity_ok=bool(ste_ok),
-        topk_gated_ok=bool(topk_ok),
+        ste_identity_ok=ste_ok,
+        topk_gated_ok=topk_ok,
         tolerance=tolerance,
     )

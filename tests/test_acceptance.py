@@ -31,8 +31,8 @@ from ternact.layers import (
 )
 from ternact.metrics import composed_up_sparsity, sparsity_report
 from ternact.model import ModelConfig, Stage, TransformerModel
-from ternact.quantcore import QuantScheme, SchemeKind, dequantize, fake_quant, quantize
-from ternact.train import grad_check_ste, ste_backward
+from ternact.quantcore import QuantScheme, dequantize, fake_quant, quantize
+from ternact.train import grad_check_ste, ste_contract
 
 
 @pytest.fixture
@@ -140,11 +140,11 @@ def test_02_sparsity_arithmetic(report, init_stage2_report):
 
 def test_03_ste_contract(report):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-    adjoints_ok = True
-    for kind in SchemeKind:
-        g = rng.standard_normal((3, 7))
-        adjoints_ok = adjoints_ok and (ste_backward(kind, g) is g)
+    # live fake_quant_ste adjoints under every quantizer, live bitlinear
+    # adjoints under every input scheme, with and without top-K and with
+    # the mask in the adjoint on and off
+    passthrough_ok, gated_ok = ste_contract(np.random.default_rng(11))
+    adjoints_ok = passthrough_ok and gated_ok
 
     config = ModelConfig(
         hidden_size=16, glu_size=44, n_layers=2, n_heads=2, vocab_size=32, seq_len=16
@@ -157,7 +157,8 @@ def test_03_ste_contract(report):
     report(
         "3",
         adjoints_ok and check.passed and seconds < 120.0,
-        f"STE adjoints bit-equal, finite-difference max rel err "
+        f"live STE adjoints bit-equal (pass-through {passthrough_ok}, top-K gating {gated_ok}), "
+        f"finite-difference max rel err "
         f"{check.max_rel_error:.2e} over {check.n_coordinates} coordinates, {seconds:.1f}s",
     )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ternact import autodiff as ad
-from ternact.quantcore import QuantScheme, fake_quant
+from ternact.quantcore import Granularity, QuantScheme, fake_quant
 
 
 def fd_grad(f, x, eps=1e-5):
@@ -288,14 +288,14 @@ class TestSteOps:
 
     def test_bitlinear_ste_dw_uses_masked_input(self):
         from ternact.quantcore import QuantScheme as QS
-        from ternact.sparsify import sparsify_then_quantize
+        from ternact.sparsify import topk_mask
 
         x = ad.Var(RNG.standard_normal((5, 8)))
         w = ad.Var(RNG.standard_normal((3, 8)))
         out = ad.bitlinear(x, w, QS.int8(), k_fraction=0.5, weight_scheme=QS.ternary())
         up = ad.Var(RNG.standard_normal((5, 3)))
         ad.vsum(ad.mul(out, up)).backward()
-        fqx = sparsify_then_quantize(x.value, 0.5)
+        fqx = fake_quant(x.value, QS.int8()) * topk_mask(x.value, 0.5).mask
         np.testing.assert_array_equal(w.grad, up.value.T @ fqx)
 
     def test_bitlinear_mask_gates_dx(self):
@@ -363,3 +363,126 @@ class TestTapeMechanics:
             loss.backward()
             return x.grad
         np.testing.assert_array_equal(run(), run())
+
+
+class TestWeightCodeCache:
+    """Ternary weight codes are cached under no_grad, keyed on the identity
+    of the latent array; they must never go stale."""
+
+    TERNARY = QuantScheme.ternary()
+
+    @staticmethod
+    def _count_weight_quantizes(monkeypatch):
+        calls = []
+        real = ad.quantize
+
+        def counting(x, scheme):
+            if scheme == QuantScheme.ternary():
+                calls.append(scheme)
+            return real(x, scheme)
+
+        monkeypatch.setattr(ad, "quantize", counting)
+        return calls
+
+    def _project(self, x, w):
+        return ad.bitlinear(ad.Var(x), w, QuantScheme.int4(), weight_scheme=self.TERNARY).value
+
+    def test_no_grad_hit_skips_quantize(self, monkeypatch):
+        calls = self._count_weight_quantizes(monkeypatch)
+        x = RNG.standard_normal((3, 8))
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        with ad.no_grad():
+            first = self._project(x, w)
+            second = self._project(x, w)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first, second)
+
+    def test_grad_mode_neither_caches_nor_freezes(self, monkeypatch):
+        calls = self._count_weight_quantizes(monkeypatch)
+        x = RNG.standard_normal((3, 8))
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        self._project(x, w)
+        self._project(x, w)
+        assert len(calls) == 2
+        assert w.value.flags.writeable
+
+    def test_in_place_write_to_cached_weights_raises(self):
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        with ad.no_grad():
+            self._project(RNG.standard_normal((3, 8)), w)
+        with pytest.raises(ValueError):
+            w.value[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            w.value.reshape(-1)[0] = 5.0
+
+    def test_rebinding_misses_and_matches_a_fresh_projection(self):
+        x = RNG.standard_normal((3, 8))
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        with ad.no_grad():
+            self._project(x, w)
+            w.value = -2.0 * w.value
+            cached = self._project(x, w)
+            fresh = self._project(x, ad.Var(w.value.copy()))
+        np.testing.assert_array_equal(cached, fresh)
+
+    def test_scheme_change_misses(self):
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        per_tensor_int8 = QuantScheme.int8(Granularity.PER_TENSOR)
+        with ad.no_grad():
+            ad.weight_codes(w, self.TERNARY)
+            q = ad.weight_codes(w, per_tensor_int8)
+        assert q.scheme == per_tensor_int8
+        assert np.abs(q.codes).max() == 127.0
+
+    def test_replaced_array_is_not_kept_alive(self):
+        import gc
+        import weakref
+
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        with ad.no_grad():
+            ad.weight_codes(w, self.TERNARY)
+        old = weakref.ref(w.value)
+        w.value = w.value.copy()
+        gc.collect()
+        assert old() is None
+
+    def test_nan_latent_weight_raises_on_cold_cache(self):
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        w.value[1, 2] = np.nan
+        with ad.no_grad(), pytest.raises(ValueError):
+            self._project(RNG.standard_normal((3, 8)), w)
+
+    def test_nan_rebinding_after_a_warm_cache_raises(self):
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        with ad.no_grad():
+            self._project(RNG.standard_normal((3, 8)), w)
+            poisoned = w.value.copy()
+            poisoned[0, 0] = np.nan
+            w.value = poisoned
+            with pytest.raises(ValueError):
+                self._project(RNG.standard_normal((3, 8)), w)
+
+
+class TestCodeMatmul:
+    def test_exact_at_extreme_codes(self):
+        # int8's -128 against ternary -1 over K=344 (the default down
+        # projection): every partial sum is an integer below 2^24
+        k = 344
+        codes = np.full((2, k), -128.0, dtype=np.float32)
+        wcodes = np.full((3, k), -1.0, dtype=np.float32)
+        out = ad.code_matmul(codes, wcodes)
+        assert out.dtype == np.float64
+        assert np.all(out == 128.0 * k)
+
+    def test_equals_float64_product_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        k = 344
+        codes = rng.choice([-128.0, 127.0, -127.0, 0.0], size=(2, 5, k)).astype(np.float32)
+        wcodes = rng.choice([-1.0, 0.0, 1.0], size=(7, k)).astype(np.float32)
+        expected = codes.astype(np.float64) @ wcodes.astype(np.float64).T
+        np.testing.assert_array_equal(ad.code_matmul(codes, wcodes), expected)
+
+    def test_rejects_a_contraction_too_long_for_float32(self):
+        k = 2**24 // 128 + 1
+        with pytest.raises(ValueError):
+            ad.code_matmul(np.zeros((1, k), np.float32), np.zeros((1, k), np.float32))

@@ -219,3 +219,56 @@ class TestForward:
         assert out1.shape == (1, 8)
         np.testing.assert_array_equal(out1, out2)
         np.testing.assert_array_equal(out1[:, :3], prompt)
+
+
+class TestWeightCodeCache:
+    """No-grad forwards reuse cached ternary weight codes; every way the
+    model's weights or bindings change must show up in the next forward."""
+
+    TOKENS = np.random.default_rng(11).integers(0, 32, size=(2, 10))
+
+    @staticmethod
+    def _copy(model, **overrides):
+        """A model with fresh arrays holding the same weights: nothing cached."""
+        fresh = TransformerModel(tiny_config(**overrides), seed=0)
+        for name, p in fresh.named_parameters().items():
+            p.value = model.named_parameters()[name].value.copy()
+        configure_stage(fresh, model.config.stage)
+        return fresh
+
+    def _logits(self, model):
+        with ad.no_grad():
+            return model_forward(model, self.TOKENS).value
+
+    def test_forward_after_an_adamw_step_matches_an_uncached_model(self):
+        from ternact.train import OptimizerState, TrainerConfig, train_step
+
+        model = TransformerModel(tiny_config(stage=Stage.STAGE2), seed=0)
+        before = self._logits(model)
+        state = OptimizerState.init(model)
+        batch = (self.TOKENS[:, :-1], self.TOKENS[:, 1:])
+        train_step(model, batch, state, TrainerConfig(total_steps=4, warmup_steps=1), step=0)
+        after = self._logits(model)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, self._logits(self._copy(model, stage=Stage.STAGE2)))
+
+    @pytest.mark.parametrize("fp4", [False, True])
+    def test_rebinding_never_serves_stale_codes(self, fp4):
+        model = TransformerModel(tiny_config(stage=Stage.STAGE2, fp4_mode=fp4), seed=0)
+        self._logits(model)
+        configure_identity(model)
+        fresh = self._copy(model, fp4_mode=fp4)
+        configure_identity(fresh)
+        np.testing.assert_array_equal(self._logits(model), self._logits(fresh))
+        for stage in (Stage.STAGE1, Stage.STAGE2):
+            configure_stage(model, stage)
+            np.testing.assert_array_equal(self._logits(model), self._logits(self._copy(model, fp4_mode=fp4)))
+
+    def test_grad_check_after_a_cached_forward(self):
+        from ternact.train import grad_check_ste
+
+        model = TransformerModel(tiny_config(), seed=0)
+        before = self._logits(model)
+        report = grad_check_ste(model, (self.TOKENS[:, :-1], self.TOKENS[:, 1:]), samples_per_tensor=2)
+        assert report.passed
+        np.testing.assert_array_equal(self._logits(model), before)

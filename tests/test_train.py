@@ -10,8 +10,11 @@ import pytest
 from ternact import autodiff as ad
 from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
 from ternact.model import ModelConfig, Stage, TransformerModel, model_forward
-from ternact.quantcore import SchemeKind
+from ternact.quantcore import QuantScheme, SchemeKind, fake_quant
+from ternact.sparsify import topk_mask
 from ternact.train import (
+    BITLINEAR_INPUTS,
+    QUANTIZERS,
     DivergenceMonitor,
     OptimizerState,
     StepRecord,
@@ -22,7 +25,7 @@ from ternact.train import (
     grad_check_ste,
     lr_schedule,
     run_two_stage,
-    ste_backward,
+    ste_contract,
     train_step,
 )
 
@@ -158,25 +161,47 @@ class TestAdamW:
 
 
 class TestSteBackward:
+    """The straight-through contract, checked through the live adjoints."""
+
     def test_scheme_kinds_pass_the_same_object(self):
         g = np.random.default_rng(0).standard_normal((3, 4))
-        for kind in SchemeKind:
-            assert ste_backward(kind, g) is g
-            assert ste_backward(kind.value, g) is g
+        for scheme in QUANTIZERS:
+            out = ad.fake_quant_ste(ad.Var(np.ones((3, 4))), lambda z, s=scheme: fake_quant(z, s))
+            assert out._backward(g)[0] is g
+
+    @staticmethod
+    def _bitlinear_grads(x, w, scheme, k, gated):
+        xv, wv = ad.Var(x), ad.Var(w)
+        y = ad.bitlinear(xv, wv, scheme, k_fraction=k, weight_scheme=QuantScheme.ternary(),
+                         mask_in_adjoint=gated)
+        g = np.random.default_rng(5).standard_normal(y.shape)
+        ad.vsum(ad.mul(y, ad.Var(g))).backward()
+        return g, xv.grad, wv.grad
+
+    def test_bitlinear_passes_through_every_input_scheme(self):
+        rng = np.random.default_rng(1)
+        x, w = rng.standard_normal((2, 3, 8)), rng.standard_normal((5, 8))
+        fqw = fake_quant(w, QuantScheme.ternary())
+        for scheme in BITLINEAR_INPUTS:
+            g, dx, dw = self._bitlinear_grads(x, w, scheme, None, True)
+            np.testing.assert_array_equal(dx, g @ fqw)
+            np.testing.assert_array_equal(dw, g.reshape(-1, 5).T @ fake_quant(x, scheme).reshape(-1, 8))
 
     def test_topk_gates(self):
-        g = np.arange(6.0).reshape(2, 3)
-        mask = np.array([[True, False, True], [False, True, False]])
-        out = ste_backward("topk_mask", g, mask=mask)
-        np.testing.assert_array_equal(out, g * mask)
+        rng = np.random.default_rng(2)
+        x, w = rng.standard_normal((4, 10)), rng.standard_normal((3, 10))
+        mask = topk_mask(x, 0.5).mask
+        for scheme in BITLINEAR_INPUTS:
+            for gated in (True, False):
+                g, dx, dw = self._bitlinear_grads(x, w, scheme, 0.5, gated)
+                dense = g @ fake_quant(w, QuantScheme.ternary())
+                np.testing.assert_array_equal(dx, dense * mask if gated else dense)
+                np.testing.assert_array_equal(dw, g.T @ (fake_quant(x, scheme) * mask))
+                if gated:
+                    assert np.all(dx[~mask] == 0.0)
 
-    def test_topk_requires_mask(self):
-        with pytest.raises(ValueError):
-            ste_backward("topk_mask", np.zeros(3))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ste_backward("dither", np.zeros(3))
+    def test_contract_check_passes(self):
+        assert ste_contract(np.random.default_rng(3)) == (True, True)
 
 
 class TestTrainStep:
