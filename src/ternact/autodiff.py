@@ -298,6 +298,8 @@ _ROW_DIVISOR = {
     SchemeKind.INT4_ABSMEAN: SQRT7,
     SchemeKind.FP4_MINMAX: 2.0,
 }
+# The scheme kinds a bitlinear input can take.
+INPUT_KINDS = frozenset(_ROW_DIVISOR)
 # fp4 codes index the E2M1 grid, whose points lie on a half-integer lattice;
 # doubled, they are the integers -12..12 (index i + 7 holds code i).
 _FP4_DOUBLED = np.array(

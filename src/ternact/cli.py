@@ -15,25 +15,19 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .data import MarkovChain, MarkovDataConfig, batch_stream
-from .layers import Site
-from .metrics import (
-    activation_histogram,
-    eval_perplexity,
-    quant_error_report,
-    scheme_label,
-    sparsity_report,
-)
-from .model import ModelConfig, Stage, TransformerModel
-from .quantcore import Granularity, QuantScheme, fake_quant, quantize
+from .layers import VALID_KV_BITS, VALID_Q_BITS, Site
+from .metrics import activation_histogram, eval_perplexity, scheme_label, sparsity_report
+from .model import ModelConfig, Stage, TransformerModel, stage_bindings
+from .quantcore import SCHEMES, Granularity, fake_quant, quantize
 from .tensorio import (
     FormatError,
     load_checkpoint,
@@ -78,22 +72,12 @@ DEFAULTS: dict = {
     "divergence_expected": False,
 }
 
-_SCHEME_FACTORIES = {
-    "int8": QuantScheme.int8,
-    "int4": QuantScheme.int4,
-    "int4x2": lambda: QuantScheme.int4(multiplier=2.0),
-    "fp4": QuantScheme.fp4,
-    "ternary": QuantScheme.ternary,
-    "unsigned4": lambda: QuantScheme.unsigned(4),
-    "unsigned3": lambda: QuantScheme.unsigned(3),
-}
+_SCHEME_NAMES = {scheme: name for name, scheme in SCHEMES.items()}
 
+# The stage-2 row of model.stage_bindings in the config's JSON form.
 _HYBRID_BINDINGS = {
-    "qkv": {"scheme": "int4", "k": None},
-    "gate": {"scheme": "int4", "k": None},
-    "up": {"scheme": "int4", "k": None},
-    "attn_out": {"scheme": "int8", "k": 0.5},
-    "down": {"scheme": "int8", "k": None},
+    site.value: {"scheme": _SCHEME_NAMES[scheme], "k": k}
+    for site, (scheme, k) in stage_bindings(Stage.STAGE2, fp4_mode=False).items()
 }
 
 
@@ -105,6 +89,7 @@ def _bindings(**overrides) -> dict:
 
 # Each preset is a plain config overlay: single-stage runs at the named
 # binding mix, identical schedule, so runs differ only in what is quantized.
+# The bindings travel in ModelConfig.site_bindings, so checkpoints keep them.
 ABLATION_PRESETS: dict[str, dict] = {
     "hybrid": {"single_stage": "stage2", "site_bindings": _bindings()},
     "full-int4": {
@@ -182,18 +167,8 @@ def resolve_config(config_file: str | None, overrides: dict) -> dict:
 
 
 def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        hidden_size=cfg["hidden_size"],
-        glu_size=cfg["glu_size"],
-        n_heads=cfg["n_heads"],
-        n_layers=cfg["n_layers"],
-        vocab_size=cfg["vocab_size"],
-        seq_len=cfg["seq_len"],
-        fp4_mode=cfg["fp4_mode"],
-        kv_bits=cfg["kv_bits"],
-        q_bits=cfg["q_bits"],
-        activation=cfg["activation"],
-    )
+    names = (f.name for f in dataclasses.fields(ModelConfig))
+    return ModelConfig(**{name: cfg[name] for name in names if name in cfg})
 
 
 def _trainer_config(cfg: dict) -> TrainerConfig:
@@ -220,22 +195,6 @@ def _chain(cfg: dict) -> MarkovChain:
             seed=cfg["data_seed"],
         )
     )
-
-
-def apply_site_bindings(model: TransformerModel, bindings: dict) -> None:
-    """Overlay per-site input schemes/top-K fractions onto the bound stage."""
-    by_name = {site.value: site for site in Site}
-    for name, binding in bindings.items():
-        if name not in by_name:
-            raise ConfigError(f"unknown projection site: {name}")
-        if binding["scheme"] not in _SCHEME_FACTORIES:
-            raise ConfigError(f"unknown scheme name: {binding['scheme']}")
-        scheme = _SCHEME_FACTORIES[binding["scheme"]]()
-        k = binding.get("k")
-        for layer in model.projection_layers():
-            if layer.site is by_name[name]:
-                layer.input_scheme = scheme
-                layer.k_fraction = k
 
 
 def _sha256(path: Path) -> str:
@@ -280,8 +239,17 @@ def _eval_stream(cfg: dict, model: TransformerModel, extra: dict):
 
 
 def cmd_train(cfg: dict, args) -> int:
-    out = _out_dir(args)
+    # everything that can reject the config runs before anything is written
+    if cfg["total_steps"] < 0:
+        raise ConfigError(f"--steps must be at least 0, got {cfg['total_steps']}")
+    if cfg["batch_size"] < 1:
+        raise ConfigError(f"--batch-size must be at least 1, got {cfg['batch_size']}")
     model = TransformerModel(_model_config(cfg), seed=cfg["seed"])
+    trainer = stream = None
+    if cfg["total_steps"] > 0:
+        trainer = _trainer_config(cfg)
+        stream = batch_stream(_chain(cfg), cfg["batch_size"], cfg["seq_len"], cfg["stream_seed"])
+    out = _out_dir(args)
     data_extra = {
         "data": {
             "n_successors": cfg["n_successors"],
@@ -295,10 +263,7 @@ def cmd_train(cfg: dict, args) -> int:
 
     rows: list[str] = []
     diverged_step = None
-    if cfg["total_steps"] > 0:
-        stream = batch_stream(_chain(cfg), cfg["batch_size"], cfg["seq_len"], cfg["stream_seed"])
-        bindings = cfg.get("site_bindings")
-        on_configure = (lambda m: apply_site_bindings(m, bindings)) if bindings else None
+    if trainer is not None:
 
         def on_boundary(m, state, step):
             save_checkpoint(out / "boundary.ckpt", m, extra={"step": step, **data_extra})
@@ -307,14 +272,7 @@ def cmd_train(cfg: dict, args) -> int:
         def on_record(r):
             rows.append(f"{r.step},{r.stage},{r.lr!r},{r.wd!r},{r.loss!r},{r.grad_norm!r}")
 
-        log = run_two_stage(
-            model,
-            stream,
-            _trainer_config(cfg),
-            on_boundary=on_boundary,
-            on_record=on_record,
-            on_configure=on_configure,
-        )
+        log = run_two_stage(model, stream, trainer, on_boundary=on_boundary, on_record=on_record)
         diverged_step = log.divergence_step
         save_checkpoint(out / "final.ckpt", model, extra={"step": len(log.records), **data_extra})
         artifacts.append(out / "final.ckpt")
@@ -455,14 +413,9 @@ def cmd_quant(cfg: dict, args) -> int:
         raise ConfigError(f"tensor file not found: {args.tensor}")
     except FormatError as e:
         raise ConfigError(f"unreadable tensor {args.tensor}: {e}")
-    scheme = _SCHEME_FACTORIES[args.scheme]()
-    if args.per_tensor and scheme.kind.value != "ternary_absmean":
-        scheme = QuantScheme(
-            scheme.kind,
-            Granularity.PER_TENSOR,
-            multiplier=scheme.multiplier,
-            bits=scheme.bits,
-        )
+    scheme = SCHEMES[args.scheme]
+    if args.per_tensor:
+        scheme = dataclasses.replace(scheme, granularity=Granularity.PER_TENSOR)
     q = quantize(x, scheme)
     deq = fake_quant(x, scheme)
     err = deq - x
@@ -504,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--warmup-steps", type=int, default=None, dest="warmup_steps")
     p_train.add_argument("--peak-lr", type=float, default=None, dest="peak_lr")
     p_train.add_argument("--stage-split", type=float, default=None, dest="stage_split")
-    p_train.add_argument("--kv-bits", type=int, choices=(3, 4, 8), default=None, dest="kv_bits")
-    p_train.add_argument("--q-bits", type=int, choices=(4, 16), default=None, dest="q_bits")
+    p_train.add_argument("--kv-bits", type=int, choices=VALID_KV_BITS, default=None, dest="kv_bits")
+    p_train.add_argument("--q-bits", type=int, choices=VALID_Q_BITS, default=None, dest="q_bits")
     p_train.add_argument(
         "--activation", choices=("relu2", "silu"), default=None, dest="activation"
     )
@@ -544,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_kv)
     p_kv.add_argument("--checkpoint", required=True)
     p_kv.add_argument("--out-dir", required=True)
-    p_kv.add_argument("--kv-bits", type=int, choices=(3, 4, 8), default=4)
-    p_kv.add_argument("--q-bits", type=int, choices=(4, 16), default=16)
+    p_kv.add_argument("--kv-bits", type=int, choices=VALID_KV_BITS, default=4)
+    p_kv.add_argument("--q-bits", type=int, choices=VALID_Q_BITS, default=16)
     p_kv.add_argument("--batches", type=int, default=8)
     p_kv.set_defaults(func=cmd_kv_eval)
 
@@ -553,38 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_q)
     p_q.add_argument("--tensor", required=True)
     p_q.add_argument("--out-dir", required=True)
-    p_q.add_argument("--scheme", choices=sorted(_SCHEME_FACTORIES), required=True)
+    p_q.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
     p_q.add_argument("--per-tensor", action="store_true")
     p_q.set_defaults(func=cmd_quant)
 
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "seed",
-    "ablation",
-    "total_steps",
-    "batch_size",
-    "hidden_size",
-    "glu_size",
-    "n_layers",
-    "n_heads",
-    "seq_len",
-    "vocab_size",
-    "warmup_steps",
-    "peak_lr",
-    "stage_split",
-    "kv_bits",
-    "q_bits",
-    "activation",
-    "fp4_mode",
-    "single_stage",
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS if hasattr(args, k)}
+    overrides = {k: getattr(args, k) for k in DEFAULTS if hasattr(args, k)}
     try:
         cfg = resolve_config(args.config, overrides)
         return args.func(cfg, args)

@@ -26,6 +26,13 @@ VALID_KV_BITS = (3, 4, 8)
 VALID_Q_BITS = (4, 16)
 
 
+def check_bit_widths(kv_bits: int, q_bits: int) -> None:
+    """Reject a key/value or query bit width the attention path lacks."""
+    for name, bits, valid in (("kv_bits", kv_bits, VALID_KV_BITS), ("q_bits", q_bits, VALID_Q_BITS)):
+        if bits not in valid:
+            raise ValueError(f"{name} must be one of {valid}, got {bits}")
+
+
 class Site(str, Enum):
     QKV = "qkv"
     ATTN_OUT = "attn_out"
@@ -45,19 +52,10 @@ class BitLinearLayer:
     input_scheme: QuantScheme | None = None
     k_fraction: float | None = None
     weight_scheme: QuantScheme | None = field(default_factory=QuantScheme.ternary)
-    mask_in_adjoint: bool = True
 
     def __post_init__(self):
         if self.latent_weights.value.ndim != 2:
             raise ValueError("latent weights must be a 2-D out x in matrix")
-
-    @property
-    def out_features(self) -> int:
-        return self.latent_weights.value.shape[0]
-
-    @property
-    def in_features(self) -> int:
-        return self.latent_weights.value.shape[1]
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ def bitlinear_forward(layer: BitLinearLayer, x, stats: dict | None = None, stats
         layer.input_scheme,
         k_fraction=layer.k_fraction,
         weight_scheme=layer.weight_scheme,
-        mask_in_adjoint=layer.mask_in_adjoint,
         stats=stats,
         stats_key=stats_key if stats_key is not None else layer.site.value,
     )
@@ -176,10 +173,7 @@ class KvCache:
     """
 
     def __init__(self, kv_bits: int = 8, q_bits: int = 16):
-        if kv_bits not in VALID_KV_BITS:
-            raise ValueError(f"kv_bits must be one of {VALID_KV_BITS}, got {kv_bits}")
-        if q_bits not in VALID_Q_BITS:
-            raise ValueError(f"q_bits must be one of {VALID_Q_BITS}, got {q_bits}")
+        check_bit_widths(kv_bits, q_bits)
         self.kv_bits = kv_bits
         self.q_bits = q_bits
         self.bos_bits = 4 if kv_bits == 3 else kv_bits
@@ -257,10 +251,7 @@ def attention_forward(
     hd = h // n_heads
     if hd != rope_params.head_dim:
         raise ValueError("rope head_dim does not match hidden/heads")
-    if kv_bits not in VALID_KV_BITS:
-        raise ValueError(f"kv_bits must be one of {VALID_KV_BITS}, got {kv_bits}")
-    if q_bits not in VALID_Q_BITS:
-        raise ValueError(f"q_bits must be one of {VALID_Q_BITS}, got {q_bits}")
+    check_bit_widths(kv_bits, q_bits)
     if positions is None:
         positions = np.arange(t)
 

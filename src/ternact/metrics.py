@@ -47,15 +47,6 @@ class SparsityReport:
             if not 0.0 <= pct <= 100.0:
                 raise ValueError(f"{site} sparsity {pct} outside [0, 100]")
 
-    def recomputed_overall_pct(self) -> float:
-        total = sum(self.params.values())
-        return sum(self.params[s] * self.sparsity_pct[s] for s in self.params) / total
-
-    def recomputed_activated(self) -> float:
-        return sum(
-            self.params[s] * (1.0 - self.sparsity_pct[s] / 100.0) for s in self.params
-        )
-
     def to_csv_text(self) -> str:
         out = io.StringIO()
         out.write("site,sparsity_pct,params\n")
@@ -178,15 +169,6 @@ def activation_histogram(
     flat = _strided_cap(flat, sample_cap)
     counts, edges = np.histogram(flat, bins=bins)
     return HistogramSpec(site_key, edges, counts)
-
-
-def sample_skewness(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    centered = x - x.mean()
-    m2 = np.mean(centered**2)
-    if m2 == 0.0:
-        return 0.0
-    return float(np.mean(centered**3) / m2**1.5)
 
 
 def scheme_label(scheme: QuantScheme | None) -> str:

@@ -6,11 +6,15 @@ Stage 1 binds every projection input to int8; stage 2 rebinds query/key/value
 and both FFN inputs to 4-bit (integer absmean, or the fp4 grid in fp4 mode),
 puts the half top-K mask in front of the attention output projection, and
 keeps the down projection at int8. Rebinding never touches latent weights.
+
+``ModelConfig.site_bindings`` overlays per-site input schemes on whichever
+stage is bound (the ablation presets), so a checkpoint, which records its
+configuration, reloads with the binding it was trained with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,15 +22,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .layers import (
-    VALID_KV_BITS,
-    VALID_Q_BITS,
     BitLinearLayer,
     RopeParams,
     Site,
     attention_forward,
+    check_bit_widths,
     ffn_forward,
 )
-from .quantcore import QuantScheme
+from .quantcore import SCHEMES, QuantScheme
 
 
 class Stage(str, Enum):
@@ -47,6 +50,8 @@ class ModelConfig:
     kv_bits: int = 8
     q_bits: int = 16
     activation: str = "relu2"
+    # {site: {"scheme": name in quantcore.SCHEMES, "k": top-K fraction or None}}
+    site_bindings: dict | None = None
 
     def __post_init__(self):
         for name in ("hidden_size", "glu_size", "n_heads", "n_layers", "vocab_size", "seq_len"):
@@ -56,17 +61,36 @@ class ModelConfig:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by n_heads {self.n_heads}"
             )
-        if self.kv_bits not in VALID_KV_BITS:
-            raise ValueError(f"kv_bits must be one of {VALID_KV_BITS}")
-        if self.q_bits not in VALID_Q_BITS:
-            raise ValueError(f"q_bits must be one of {VALID_Q_BITS}")
+        check_bit_widths(self.kv_bits, self.q_bits)
         if self.activation not in ("relu2", "silu"):
             raise ValueError("activation must be 'relu2' or 'silu'")
         self.stage = Stage(self.stage)
+        if not isinstance(self.site_bindings or {}, dict):
+            raise ValueError("site_bindings must map site names to bindings")
+        for name, binding in (self.site_bindings or {}).items():
+            _check_site_binding(name, binding)
 
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.n_heads
+
+
+def _check_site_binding(name: str, binding) -> None:
+    if name not in {site.value for site in Site}:
+        raise ValueError(f"unknown projection site: {name}")
+    if not isinstance(binding, dict) or "scheme" not in binding:
+        raise ValueError(f'site {name}: a binding needs a "scheme"')
+    unknown = set(binding) - {"scheme", "k"}
+    if unknown:
+        raise ValueError(f"site {name}: unknown binding keys {sorted(unknown)}")
+    inputs = sorted(n for n, scheme in SCHEMES.items() if scheme.kind in ad.INPUT_KINDS)
+    if binding["scheme"] not in inputs:
+        raise ValueError(f"site {name}: scheme must be one of {inputs}, got {binding['scheme']!r}")
+    k = binding.get("k")
+    if k is not None and (
+        isinstance(k, bool) or not isinstance(k, (int, float)) or not 0.0 < k <= 1.0
+    ):
+        raise ValueError(f"site {name}: k must be in (0, 1] or null, got {k!r}")
 
 
 @dataclass
@@ -156,9 +180,12 @@ def stage_bindings(stage: Stage, fp4_mode: bool) -> dict[Site, tuple[QuantScheme
 
 
 def configure_stage(model: TransformerModel, stage: Stage) -> TransformerModel:
-    """Rebind every projection's input treatment for the given stage. Weights
-    are ternary in every stage, so this also undoes ``configure_identity``."""
+    """Rebind every projection's input treatment for the given stage, with
+    the config's ``site_bindings`` laid over the stage's row. Weights are
+    ternary in every stage, so this also undoes ``configure_identity``."""
     bindings = stage_bindings(stage, model.config.fp4_mode)
+    for name, binding in (model.config.site_bindings or {}).items():
+        bindings[Site(name)] = (SCHEMES[binding["scheme"]], binding.get("k"))
     for layer in model.projection_layers():
         layer.input_scheme, layer.k_fraction = bindings[layer.site]
         layer.weight_scheme = QuantScheme.ternary()
@@ -221,10 +248,6 @@ def model_forward(
     return ad.linear(x, model.head)
 
 
-def cross_entropy_loss(logits: Var, targets: np.ndarray) -> Var:
-    return ad.cross_entropy(logits, targets)
-
-
 def greedy_decode(model: TransformerModel, prompt: np.ndarray, n_new: int) -> np.ndarray:
     """Extend each prompt row with argmax continuations (smoke-test helper)."""
     tokens = np.asarray(prompt)
@@ -235,10 +258,3 @@ def greedy_decode(model: TransformerModel, prompt: np.ndarray, n_new: int) -> np
         tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
     return tokens
 
-
-def closed_form_param_count(config: ModelConfig) -> int:
-    """Non-embedding parameters:
-    per block 4*h^2 (qkv+out) + 3*h*g (gate/up/down) + 2*h (norm gains),
-    plus the final norm gain."""
-    h, g = config.hidden_size, config.glu_size
-    return config.n_layers * (4 * h * h + 3 * h * g + 2 * h) + h

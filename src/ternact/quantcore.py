@@ -43,15 +43,12 @@ class QuantScheme:
 
     ``multiplier`` applies to INT4 absmean only (2.0 is the outlier-tolerant
     down-projection variant). ``bits`` applies to the unsigned absmax family.
-    ``exponent_bits``/``mantissa_bits`` pin the FP4 format; only E2M1 is
-    supported.
+    FP4 is always E2M1.
     """
 
     kind: SchemeKind
     granularity: Granularity = Granularity.PER_TOKEN
     multiplier: float = 1.0
-    exponent_bits: int = 2
-    mantissa_bits: int = 1
     bits: int = 4
 
     def __post_init__(self) -> None:
@@ -60,8 +57,6 @@ class QuantScheme:
                 raise ValueError("ternary absmean quantizes per tensor")
         if self.kind is SchemeKind.INT4_ABSMEAN and self.multiplier not in (1.0, 2.0):
             raise ValueError(f"int4 absmean multiplier must be 1 or 2, got {self.multiplier}")
-        if self.kind is SchemeKind.FP4_MINMAX and (self.exponent_bits, self.mantissa_bits) != (2, 1):
-            raise ValueError("only the E2M1 FP4 format is supported")
         if self.kind is SchemeKind.UNSIGNED_ABSMAX and self.bits not in (3, 4):
             raise ValueError(f"unsigned absmax supports 3 or 4 bits, got {self.bits}")
 
@@ -84,6 +79,18 @@ class QuantScheme:
     @staticmethod
     def unsigned(bits: int = 4, granularity: Granularity = Granularity.PER_TOKEN) -> "QuantScheme":
         return QuantScheme(SchemeKind.UNSIGNED_ABSMAX, granularity, bits=bits)
+
+
+# Schemes by the names configs and the command line use.
+SCHEMES: dict[str, QuantScheme] = {
+    "int8": QuantScheme.int8(),
+    "int4": QuantScheme.int4(),
+    "int4x2": QuantScheme.int4(multiplier=2.0),
+    "fp4": QuantScheme.fp4(),
+    "ternary": QuantScheme.ternary(),
+    "unsigned4": QuantScheme.unsigned(4),
+    "unsigned3": QuantScheme.unsigned(3),
+}
 
 
 @dataclass(frozen=True)

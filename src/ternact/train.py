@@ -213,11 +213,8 @@ def run_two_stage(
     config: TrainerConfig,
     on_boundary=None,
     on_record=None,
-    on_configure=None,
 ) -> TrainLog:
-    """Full training run; the stage switch reuses the optimizer moments.
-    ``on_configure(model)`` fires after every stage (re)binding so callers
-    can overlay custom per-site schemes (ablation presets)."""
+    """Full training run; the stage switch reuses the optimizer moments."""
     state = OptimizerState.init(model)
     log = TrainLog()
     s1 = config.stage1_steps
@@ -225,14 +222,10 @@ def run_two_stage(
         configure_stage(model, config.single_stage)
     else:
         configure_stage(model, Stage.STAGE1 if s1 > 0 else Stage.STAGE2)
-    if on_configure is not None:
-        on_configure(model)
     monitor = DivergenceMonitor()
     for step in range(config.total_steps):
         if config.single_stage is None and step == s1 and s1 > 0:
             configure_stage(model, Stage.STAGE2)
-            if on_configure is not None:
-                on_configure(model)
             log.stage_boundary = step
             if on_boundary is not None:
                 on_boundary(model, state, step)

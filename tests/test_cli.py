@@ -2,12 +2,15 @@
 manifest checksums, preset expansion, exit codes, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ternact import cli
 from ternact.cli import ABLATION_PRESETS, ConfigError, main, resolve_config
 from ternact.model import Stage
+from ternact.quantcore import SCHEMES
 from ternact.tensorio import load_checkpoint, load_quantized, save_tensor
 
 TINY_FLAGS = [
@@ -48,6 +51,13 @@ class TestResolveConfig:
     def test_flags_override_preset(self):
         cfg = resolve_config(None, {"ablation": "hybrid", "single_stage": "stage1"})
         assert cfg["single_stage"] == "stage1"
+
+    def test_preset_overrides_file(self, tmp_path):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"single_stage": "stage1", "peak_lr": 0.5}))
+        cfg = resolve_config(str(cfile), {"ablation": "hybrid"})
+        assert cfg["single_stage"] == "stage2"
+        assert cfg["peak_lr"] == 0.5
 
     def test_unknown_config_keys_rejected(self, tmp_path):
         cfile = tmp_path / "c.json"
@@ -112,6 +122,53 @@ class TestTrain:
         assert manifest["config"]["single_stage"] == "stage2"
         lines = (tmp_path / "log.csv").read_text().strip().split("\n")[1:]
         assert all(line.split(",")[1] == "stage2" for line in lines)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--steps", "-3"), ("--batch-size", "0"), ("--batch-size", "-1")]
+    )
+    def test_bad_run_length_rejected_before_writing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        assert run_train(out, flag, value) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "binding",
+        [
+            {"ffn": {"scheme": "int4", "k": None}},
+            {"qkv": {"scheme": "int5", "k": None}},
+            {"qkv": {"k": None}},
+            {"attn_out": {"scheme": "int8", "k": 0}},
+        ],
+        ids=["unknown-site", "unknown-scheme", "missing-scheme", "k-zero"],
+    )
+    def test_bad_site_bindings_rejected_before_writing(self, tmp_path, capsys, binding):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"site_bindings": binding}))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfile), "--out-dir", str(out), *TINY_FLAGS, "--steps", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+    def test_checkpoint_reloads_with_trained_bindings(self, tmp_path, monkeypatch, preset):
+        trained = {}
+        save = cli.save_checkpoint
+
+        def spy(path, model, extra=None):
+            bound = [(layer.input_scheme, layer.k_fraction) for layer in model.projection_layers()]
+            trained[Path(path).name] = bound
+            save(path, model, extra=extra)
+
+        monkeypatch.setattr(cli, "save_checkpoint", spy)
+        assert run_train(tmp_path, "--steps", "2", "--ablation", preset) == 0
+        loaded, _ = load_checkpoint(tmp_path / "final.ckpt")
+        reloaded = [(layer.input_scheme, layer.k_fraction) for layer in loaded.projection_layers()]
+        assert reloaded == trained["final.ckpt"]
+        preset_bindings = ABLATION_PRESETS[preset]["site_bindings"]
+        expected = [preset_bindings[layer.site.value] for layer in loaded.projection_layers()]
+        assert reloaded == [(SCHEMES[b["scheme"]], b["k"]) for b in expected]
 
     def test_config_file_feeds_run(self, tmp_path):
         cfile = tmp_path / "c.json"

@@ -340,6 +340,14 @@ class TestAttention:
         with pytest.raises(ValueError):
             attention_forward(Var(x), qkv, out, rp, n_heads=3)
 
+    @pytest.mark.parametrize("bits", [dict(kv_bits=5), dict(q_bits=8)])
+    def test_bit_widths_checked(self, bits):
+        qkv, out, rp = base_attention_setup(seed=36)
+        x = RNG.standard_normal((1, 2, 16))
+        name, value = next(iter(bits.items()))
+        with pytest.raises(ValueError, match=f"{name} must be one of .*, got {value}"):
+            attention_forward(Var(x), qkv, out, rp, n_heads=2, **bits)
+
     def test_gradients_flow_to_all_weights(self):
         qkv, out, rp = base_attention_setup(seed=37)
         x = Var(RNG.standard_normal((1, 4, 16)))

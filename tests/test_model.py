@@ -10,15 +10,13 @@ from ternact.model import (
     ModelConfig,
     Stage,
     TransformerModel,
-    closed_form_param_count,
     configure_identity,
     configure_stage,
-    cross_entropy_loss,
     greedy_decode,
     model_forward,
     stage_bindings,
 )
-from ternact.quantcore import SchemeKind
+from ternact.quantcore import SCHEMES, SchemeKind
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -52,6 +50,14 @@ class TestConfig:
 
     def test_stage_coerced_from_string(self):
         assert tiny_config(stage="stage2").stage is Stage.STAGE2
+
+
+def closed_form_param_count(config: ModelConfig) -> int:
+    """Non-embedding parameters:
+    per block 4*h^2 (qkv+out) + 3*h*g (gate/up/down) + 2*h (norm gains),
+    plus the final norm gain."""
+    h, g = config.hidden_size, config.glu_size
+    return config.n_layers * (4 * h * h + 3 * h * g + 2 * h) + h
 
 
 class TestParameterCount:
@@ -188,7 +194,7 @@ class TestForward:
         model.head.value = np.zeros_like(model.head.value)
         tokens = np.random.default_rng(3).integers(0, 32, size=(2, 8))
         with ad.no_grad():
-            loss = cross_entropy_loss(model_forward(model, tokens[:, :-1]), tokens[:, 1:])
+            loss = ad.cross_entropy(model_forward(model, tokens[:, :-1]), tokens[:, 1:])
         assert float(loss.value) == pytest.approx(np.log(32), rel=1e-12)
 
     def test_initial_loss_near_uniform(self):
@@ -196,7 +202,7 @@ class TestForward:
         model = TransformerModel(tiny_config(), seed=0)
         tokens = np.random.default_rng(4).integers(0, 32, size=(4, 12))
         with ad.no_grad():
-            loss = cross_entropy_loss(model_forward(model, tokens[:, :-1]), tokens[:, 1:])
+            loss = ad.cross_entropy(model_forward(model, tokens[:, :-1]), tokens[:, 1:])
         assert abs(float(loss.value) - np.log(32)) < 0.2
 
     def test_stats_keys_cover_all_sites(self):
@@ -219,6 +225,50 @@ class TestForward:
         assert out1.shape == (1, 8)
         np.testing.assert_array_equal(out1, out2)
         np.testing.assert_array_equal(out1[:, :3], prompt)
+
+
+class TestSiteBindings:
+    """``ModelConfig.site_bindings`` lays per-site schemes over whichever
+    stage row is bound, and bad bindings fail when the config is built."""
+
+    OVERLAY = {"down": {"scheme": "fp4", "k": None}, "attn_out": {"scheme": "int8", "k": None}}
+
+    @staticmethod
+    def bound(model):
+        return {layer.site.value: (layer.input_scheme, layer.k_fraction) for layer in model.projection_layers()}
+
+    @pytest.mark.parametrize("fp4_mode", [False, True])
+    def test_overlay_on_every_stage(self, fp4_mode):
+        model = TransformerModel(tiny_config(site_bindings=self.OVERLAY, fp4_mode=fp4_mode), seed=0)
+        for stage in (Stage.STAGE1, Stage.STAGE2, Stage.STAGE1):
+            configure_identity(model)
+            configure_stage(model, stage)
+            row = {site.value: b for site, b in stage_bindings(stage, fp4_mode).items()}
+            row["down"] = (SCHEMES["fp4"], None)
+            row["attn_out"] = (SCHEMES["int8"], None)
+            assert self.bound(model) == row
+
+    def test_full_fraction_accepted(self):
+        tiny_config(site_bindings={"qkv": {"scheme": "int4", "k": 1.0}, "up": {"scheme": "int4x2"}})
+
+    @pytest.mark.parametrize(
+        "bindings, match",
+        [
+            (["qkv"], "site_bindings must map"),
+            ({"ffn": {"scheme": "int4", "k": None}}, "unknown projection site"),
+            ({"qkv": {"scheme": "int5", "k": None}}, "scheme must be one of"),
+            ({"qkv": {"scheme": "ternary", "k": None}}, "scheme must be one of"),
+            ({"qkv": {"k": None}}, 'needs a "scheme"'),
+            ({"qkv": "int4"}, 'needs a "scheme"'),
+            ({"qkv": {"scheme": "int4", "kk": 0.5}}, "unknown binding keys"),
+            ({"qkv": {"scheme": "int4", "k": 0}}, r"k must be in \(0, 1\]"),
+            ({"qkv": {"scheme": "int4", "k": 1.5}}, r"k must be in \(0, 1\]"),
+            ({"qkv": {"scheme": "int4", "k": "half"}}, r"k must be in \(0, 1\]"),
+        ],
+    )
+    def test_bad_binding_rejected(self, bindings, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(site_bindings=bindings)
 
 
 class TestWeightCodeCache:

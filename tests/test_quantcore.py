@@ -225,10 +225,6 @@ class TestFp4MinMax:
         out = fake_quant(x, QuantScheme.fp4())
         assert np.array_equal(out, [0.5, 1.0, -2.0, 3.0, 4.0, 6.0, 6.0])
 
-    def test_only_e2m1_supported(self):
-        with pytest.raises(ValueError):
-            QuantScheme(SchemeKind.FP4_MINMAX, exponent_bits=3, mantissa_bits=0)
-
     def test_literal_formula_agreement(self):
         # The per-element min-max formula: bias from the group max, a
         # power-of-two step per binade, round, rescale. Defined for nonzero

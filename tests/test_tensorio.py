@@ -145,6 +145,19 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         assert loaded.blocks[0].attn_out.k_fraction == 0.5
 
+    def test_loaded_model_keeps_site_bindings(self, tmp_path):
+        bindings = {"qkv": {"scheme": "fp4", "k": None}, "attn_out": {"scheme": "int8", "k": None}}
+        model = tiny_model(stage=Stage.STAGE2, site_bindings=bindings)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config.site_bindings == bindings
+        assert [(l.input_scheme, l.k_fraction) for l in loaded.projection_layers()] == [
+            (l.input_scheme, l.k_fraction) for l in model.projection_layers()
+        ]
+        assert loaded.blocks[0].qkv.input_scheme == QuantScheme.fp4()
+        assert loaded.blocks[0].attn_out.k_fraction is None
+
     def test_save_is_byte_reproducible(self, tmp_path):
         model = tiny_model()
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
