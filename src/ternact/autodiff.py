@@ -21,6 +21,7 @@ import numpy as np
 
 from .quantcore import (
     E2M1_GRID,
+    SCHEMES,
     SQRT7,
     QuantizedTensor,
     QuantScheme,
@@ -28,7 +29,7 @@ from .quantcore import (
     dequantize,
     quantize,
 )
-from .sparsify import measure_sparsity, topk_mask
+from .sparsify import topk_mask
 
 _GRAD_ENABLED = True
 
@@ -298,8 +299,10 @@ _ROW_DIVISOR = {
     SchemeKind.INT4_ABSMEAN: SQRT7,
     SchemeKind.FP4_MINMAX: 2.0,
 }
-# The scheme kinds a bitlinear input can take.
+# The scheme kinds a bitlinear input can take, and the named schemes of
+# those kinds.
 INPUT_KINDS = frozenset(_ROW_DIVISOR)
+INPUT_SCHEMES = {name: scheme for name, scheme in SCHEMES.items() if scheme.kind in INPUT_KINDS}
 # fp4 codes index the E2M1 grid, whose points lie on a half-integer lattice;
 # doubled, they are the integers -12..12 (index i + 7 holds code i).
 _FP4_DOUBLED = np.array(
@@ -391,35 +394,31 @@ def code_matmul(codes: np.ndarray, wcodes: np.ndarray) -> np.ndarray:
 def bitlinear(
     x: Var,
     w: Var,
-    input_scheme: QuantScheme | None,
-    k_fraction: float | None = None,
+    xin: InputCodes | None,
     weight_scheme: QuantScheme | None = None,
     mask_in_adjoint: bool = True,
-    stats: dict | None = None,
-    stats_key: str | None = None,
 ) -> Var:
     """Fused quantized projection y = fq(x) @ fq_w(w).T with STE adjoints.
 
-    When both operands are quantized the product is computed over integer
-    codes and rescaled afterwards, which makes the result independent of
-    summation order (every partial sum is an exact small integer), so a
-    column-subset evaluation is bit-identical to the dense one.
+    ``xin`` is the input prepared by ``input_codes`` (None leaves x
+    unquantized). When both operands are quantized the product is computed
+    over integer codes and rescaled afterwards, which makes the result
+    independent of summation order (every partial sum is an exact small
+    integer), so a column-subset evaluation is bit-identical to the dense one.
 
     STE: dx is the upstream gradient times the dequantized weight (gated by
     the top-K mask unless ``mask_in_adjoint`` is off); dw is the upstream
     gradient times the dequantized, masked input. Both operands are
-    dequantized only when the adjoint, the stats or a non-code product needs
-    them.
+    dequantized only when the adjoint or a non-code product needs them.
     """
     x, w = as_var(x), as_var(w)
     xv, wv = x.value, w.value
     if wv.ndim != 2 or xv.shape[-1] != wv.shape[1]:
         raise ValueError(f"bitlinear shape mismatch: {xv.shape} @ {wv.shape}.T")
-    if input_scheme is None and k_fraction is not None:
-        raise ValueError("top-K masking requires a quantizing input scheme")
+    if xin is not None and xin.codes.shape != xv.shape:
+        raise ValueError(f"input codes of shape {xin.codes.shape} do not match x {xv.shape}")
 
     qw = None if weight_scheme is None else weight_codes(w, weight_scheme)
-    xin = None if input_scheme is None else input_codes(xv, input_scheme, k_fraction)
 
     def fq_weights():
         return wv if qw is None else dequantize(qw)
@@ -433,15 +432,10 @@ def bitlinear(
         y *= float(qw.scales)
     else:
         y = fq_input() @ fq_weights().T
-    if stats is not None and stats_key is not None:
-        stats[stats_key] = measure_sparsity(fq_input())
-        sink = stats.get("capture")
-        if sink is not None and stats_key in sink:
-            sink[stats_key].append(xv.reshape(-1, xv.shape[-1]).copy())
 
     def backward(g):
         dx = g @ fq_weights()
-        if k_fraction is not None and mask_in_adjoint:
+        if xin is not None and xin.mask is not None and mask_in_adjoint:
             dx = dx * xin.mask
         g2 = g.reshape(-1, wv.shape[0])
         dw = g2.T @ fq_input().reshape(-1, wv.shape[1])

@@ -141,6 +141,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _check_type(key: str, value) -> None:
+    """Reject a config-file value whose type does not match its default's;
+    bool never passes for a number, and an int passes for a float. Keys that
+    default to None are checked where they are used."""
+    default = DEFAULTS[key]
+    if default is None:
+        return
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    else:
+        accepted = (int, float) if isinstance(default, float) else type(default)
+        ok = isinstance(value, accepted) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(
+            f"config key {key} must be {type(default).__name__}, got {type(value).__name__} {value!r}"
+        )
+
+
 def resolve_config(config_file: str | None, overrides: dict) -> dict:
     """defaults -> JSON file -> ablation preset -> explicit flag overrides."""
     cfg = dict(DEFAULTS)
@@ -154,6 +172,8 @@ def resolve_config(config_file: str | None, overrides: dict) -> dict:
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_type(key, value)
         cfg.update(loaded)
     overrides = {k: v for k, v in overrides.items() if v is not None}
     ablation = overrides.get("ablation", cfg.get("ablation"))
@@ -419,7 +439,7 @@ def cmd_quant(cfg: dict, args) -> int:
     q = quantize(x, scheme)
     deq = fake_quant(x, scheme)
     err = deq - x
-    stats = {
+    report = {
         "scheme": scheme_label(scheme),
         "shape": list(x.shape),
         "mse": float(np.mean(err**2)),
@@ -427,10 +447,10 @@ def cmd_quant(cfg: dict, args) -> int:
     }
     q_path = out / (Path(args.tensor).stem + f".{args.scheme}.q48")
     save_quantized(q_path, q)
-    stats_path = out / "quant_stats.json"
-    stats_path.write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n")
-    print(f"{stats['scheme']}: mse {stats['mse']:.3e}, max abs err {stats['max_abs_err']:.3e}")
-    _write_manifest(out, "quant", cfg, [q_path, stats_path])
+    report_path = out / "quant_stats.json"
+    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    print(f"{report['scheme']}: mse {report['mse']:.3e}, max abs err {report['max_abs_err']:.3e}")
+    _write_manifest(out, "quant", cfg, [q_path, report_path])
     return 0
 
 

@@ -12,6 +12,7 @@ per head per position after the rotary embedding, keeping absolute position
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .quantcore import QuantScheme, dequantize, fake_quant, quantize
-from .sparsify import gate_active_channels
+from .sparsify import gate_active_channels, measure_sparsity
 
 VALID_KV_BITS = (3, 4, 8)
 VALID_Q_BITS = (4, 16)
@@ -68,40 +69,80 @@ class RopeParams:
             raise ValueError(f"head_dim must be even, got {self.head_dim}")
 
 
-def bitlinear_forward(layer: BitLinearLayer, x, stats: dict | None = None, stats_key: str | None = None) -> Var:
+class Probe:
+    """What forwards run inside ``probing`` measured, one list entry per
+    projection call in call order, so a forward's entries are in block order.
+
+    ``sparsity[site]`` is the zero fraction of the input each matmul
+    consumed. ``gate_activation`` is the zero fraction of the gated FFN
+    activation, and ``up_effective`` the up projection's compute sparsity
+    under gate-first evaluation: a multiply is skipped when its input entry
+    is zero or the gate killed its output channel, composed exactly per token
+    and averaged over tokens. ``inputs[site]`` holds the pre-quantization
+    input rows of each site named in ``keep_inputs``.
+    """
+
+    def __init__(self, keep_inputs=()):
+        self.sparsity: dict[Site, list[float]] = {site: [] for site in Site}
+        self.gate_activation: list[float] = []
+        self.up_effective: list[float] = []
+        self.inputs: dict[Site, list[np.ndarray]] = {Site(site): [] for site in keep_inputs}
+        self._up_zero_rows = None
+
+    def record_input(self, site: Site, xv: np.ndarray, consumed: np.ndarray) -> None:
+        self.sparsity[site].append(measure_sparsity(consumed))
+        if site is Site.UP:
+            self._up_zero_rows = np.mean(consumed == 0.0, axis=-1)
+        if site in self.inputs:
+            self.inputs[site].append(xv.reshape(-1, xv.shape[-1]).copy())
+
+    def record_activation(self, act: np.ndarray) -> None:
+        """Record the gated activation of the FFN whose up input came last."""
+        act_zeros = np.mean(act == 0.0, axis=-1)
+        self.gate_activation.append(float(np.mean(act_zeros)))
+        kept = (1.0 - self._up_zero_rows) * (1.0 - act_zeros)
+        self.up_effective.append(float(np.mean(1.0 - kept)))
+
+
+_PROBE: Probe | None = None
+
+
+@contextmanager
+def probing(probe: Probe):
+    """Record every projection run in the enclosed block into ``probe``."""
+    global _PROBE
+    prev = _PROBE
+    _PROBE = probe
+    try:
+        yield probe
+    finally:
+        _PROBE = prev
+
+
+def bitlinear_forward(layer: BitLinearLayer, x) -> Var:
     """Project x through the layer's quantized weight and input schemes."""
-    return ad.bitlinear(
-        ad.as_var(x),
-        layer.latent_weights,
-        layer.input_scheme,
-        k_fraction=layer.k_fraction,
-        weight_scheme=layer.weight_scheme,
-        stats=stats,
-        stats_key=stats_key if stats_key is not None else layer.site.value,
-    )
+    x = ad.as_var(x)
+    xin = None
+    if layer.input_scheme is not None:
+        xin = ad.input_codes(x.value, layer.input_scheme, layer.k_fraction)
+    elif layer.k_fraction is not None:
+        raise ValueError("top-K masking requires a quantizing input scheme")
+    if _PROBE is not None:
+        _PROBE.record_input(layer.site, x.value, x.value if xin is None else xin.values())
+    return ad.bitlinear(x, layer.latent_weights, xin, layer.weight_scheme)
 
 
-def relu2glu(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer,
-             activation: str = "relu2", stats: dict | None = None) -> Var:
+def relu2glu(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer, activation: str = "relu2") -> Var:
     """(x @ W_up^T) gated by ReLU^2(x @ W_gate^T), both bitlinear projections.
 
     ``activation`` admits "silu" for the gating-function ablation.
     """
     x = ad.as_var(x)
-    up = bitlinear_forward(up_layer, x, stats=stats)
-    gate = bitlinear_forward(gate_layer, x, stats=stats)
+    up = bitlinear_forward(up_layer, x)
+    gate = bitlinear_forward(gate_layer, x)
     act = ad.relu2(gate) if activation == "relu2" else ad.silu(gate)
-    if stats is not None:
-        # effective up-projection sparsity: a multiply is skipped when the
-        # input entry is zero or the gate killed the output channel, so the
-        # composition is exact per token and averaged over tokens
-        consumed = x.value
-        if up_layer.input_scheme is not None:
-            consumed = ad.input_codes(consumed, up_layer.input_scheme, up_layer.k_fraction).values()
-        in_zeros = np.mean(consumed == 0.0, axis=-1)
-        act_zeros = np.mean(act.value == 0.0, axis=-1)
-        stats["gate_activation"] = float(np.mean(act_zeros))
-        stats["up_effective"] = float(np.mean(1.0 - (1.0 - in_zeros) * (1.0 - act_zeros)))
+    if _PROBE is not None:
+        _PROBE.record_activation(act.value)
     return ad.mul(up, act)
 
 
@@ -137,11 +178,11 @@ def relu2glu_gate_first(x: np.ndarray, up_layer: BitLinearLayer, gate_layer: Bit
 
 
 def ffn_forward(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer, down_layer: BitLinearLayer,
-                activation: str = "relu2", stats: dict | None = None) -> Var:
-    """Gated FFN; the down projection's input scheme sees (and measures) the
-    naturally sparse gated activations."""
-    h = relu2glu(x, up_layer, gate_layer, activation=activation, stats=stats)
-    return bitlinear_forward(down_layer, h, stats=stats)
+                activation: str = "relu2") -> Var:
+    """Gated FFN; the down projection's input scheme sees the naturally
+    sparse gated activations."""
+    h = relu2glu(x, up_layer, gate_layer, activation=activation)
+    return bitlinear_forward(down_layer, h)
 
 
 def _unsigned_per_group(values: np.ndarray, bits: int) -> np.ndarray:
@@ -237,7 +278,6 @@ def attention_forward(
     causal: bool = True,
     positions: np.ndarray | None = None,
     cache: KvCache | None = None,
-    stats: dict | None = None,
 ) -> Var:
     """Multi-head attention with quantized projections and post-rotation
     K/V treatment. When a cache is given, the current K/V heads are appended
@@ -255,7 +295,7 @@ def attention_forward(
     if positions is None:
         positions = np.arange(t)
 
-    qkv = bitlinear_forward(qkv_layer, x, stats=stats)
+    qkv = bitlinear_forward(qkv_layer, x)
     q, k, v = ad.split_last(qkv, (h, h, h))
 
     def to_heads(z):
@@ -280,5 +320,5 @@ def attention_forward(
         scores = ad.add_const(scores, causal_mask(t))
     attn = ad.softmax(scores)
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, t, h))
-    return bitlinear_forward(out_layer, ctx, stats=stats)
+    return bitlinear_forward(out_layer, ctx)
 

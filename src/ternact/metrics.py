@@ -1,13 +1,12 @@
-"""Sparsity accounting, activation histograms, quantization-error summaries,
-and held-out perplexity evaluation.
+"""Sparsity accounting, activation histograms and held-out perplexity
+evaluation.
 
 Sparsity of a projection site counts exact zeros in the tensor its matmul
 actually consumes (post-sparsify, post-quantize). The up-projection row is
-the effective compute sparsity under gate-first evaluation: a multiply is
-skipped when the input entry is zero or the gate zeroed the output channel,
-composed exactly per token. Overall sparsity weights the per-site rates by
-projection parameter counts, so the activated-parameter figure is the
-expected number of weights touched per token.
+the effective compute sparsity under gate-first evaluation (see
+``layers.Probe``, which both reports read). Overall sparsity weights the
+per-site rates by projection parameter counts, so the activated-parameter
+figure is the expected number of weights touched per token.
 """
 
 from __future__ import annotations
@@ -18,18 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .layers import Probe, Site, probing
 from .model import TransformerModel, model_forward
-from .quantcore import QuantScheme, fake_quant
+from .quantcore import QuantScheme
 
-SITE_ROWS = ("qkv", "out", "up", "gate", "down")
-
-_STAT_LEAF = {
-    "qkv": "qkv",
-    "out": "attn_out",
-    "up": "up_effective",
-    "gate": "gate",
-    "down": "down",
+# The projection site behind each report row.
+_ROW_SITE = {
+    "qkv": Site.QKV,
+    "out": Site.ATTN_OUT,
+    "up": Site.UP,
+    "gate": Site.GATE,
+    "down": Site.DOWN,
 }
+SITE_ROWS = tuple(_ROW_SITE)
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,10 @@ class SparsityReport:
 def site_param_counts(model: TransformerModel) -> dict[str, int]:
     """Projection weight counts per site across all blocks (norms and token
     tables carry no activation sparsity and are excluded)."""
-    cfg = model.config
-    h, g, n = cfg.hidden_size, cfg.glu_size, cfg.n_layers
-    return {
-        "qkv": n * 3 * h * h,
-        "out": n * h * h,
-        "up": n * h * g,
-        "gate": n * h * g,
-        "down": n * h * g,
-    }
+    sizes = {site: 0 for site in Site}
+    for layer in model.projection_layers():
+        sizes[layer.site] += layer.latent_weights.value.size
+    return {row: sizes[site] for row, site in _ROW_SITE.items()}
 
 
 def sparsity_report(model: TransformerModel, eval_stream, n_batches: int = 8) -> SparsityReport:
@@ -90,13 +85,13 @@ def sparsity_report(model: TransformerModel, eval_stream, n_batches: int = 8) ->
             inputs, _ = next(eval_stream)
         except StopIteration:
             break
-        stats: dict = {}
-        with ad.no_grad():
-            model_forward(model, inputs, stats=stats)
+        probe = Probe()
+        with ad.no_grad(), probing(probe):
+            model_forward(model, inputs)
+        rates = {row: probe.sparsity[site] for row, site in _ROW_SITE.items()}
+        rates["up"] = probe.up_effective
         for site in SITE_ROWS:
-            leaf = _STAT_LEAF[site]
-            vals = [v for k, v in stats.items() if k.endswith("." + leaf)]
-            sums[site] += float(np.mean(vals))
+            sums[site] += float(np.mean(rates[site]))
         count += 1
     if count == 0:
         raise ValueError("evaluation stream yielded no batches")
@@ -156,19 +151,19 @@ def activation_histogram(
 ) -> HistogramSpec:
     """Histogram of pre-quantization input values at one projection site,
     deterministically subsampled to at most ``sample_cap`` values."""
-    site_key = getattr(site, "value", site)
-    collected: list[np.ndarray] = []
-    capture = {site_key: collected}
+    site = Site(site)
+    probe = Probe(keep_inputs=(site,))
     for _ in range(n_batches):
         inputs, _ = next(eval_stream)
-        with ad.no_grad():
-            model_forward(model, inputs, stats={"capture": capture})
+        with ad.no_grad(), probing(probe):
+            model_forward(model, inputs)
+    collected = probe.inputs[site]
     if not collected:
-        raise ValueError(f"no activations captured for site {site_key!r}")
+        raise ValueError(f"no activations captured for site {site.value!r}")
     flat = np.concatenate([a.ravel() for a in collected])
     flat = _strided_cap(flat, sample_cap)
     counts, edges = np.histogram(flat, bins=bins)
-    return HistogramSpec(site_key, edges, counts)
+    return HistogramSpec(site.value, edges, counts)
 
 
 def scheme_label(scheme: QuantScheme | None) -> str:
@@ -180,27 +175,6 @@ def scheme_label(scheme: QuantScheme | None) -> str:
     if scheme.kind.value == "unsigned_absmax":
         label += f"_{scheme.bits}bit"
     return label
-
-
-def quant_error_report(
-    x: np.ndarray, schemes: list[QuantScheme | None], bins: int = 32
-) -> dict[str, dict]:
-    """Per-scheme reconstruction error of fake quantization against the
-    source tensor, plus a histogram of the quantized values."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("empty input")
-    report: dict[str, dict] = {}
-    for scheme in schemes:
-        y = fake_quant(x, scheme) if scheme is not None else x
-        err = y - x
-        counts, edges = np.histogram(y.ravel(), bins=bins)
-        report[scheme_label(scheme)] = {
-            "mse": float(np.mean(err**2)),
-            "max_abs_err": float(np.max(np.abs(err))),
-            "histogram": HistogramSpec(scheme_label(scheme), edges, counts),
-        }
-    return report
 
 
 def eval_perplexity(model: TransformerModel, eval_stream, n_batches: int = 8) -> float:

@@ -83,9 +83,10 @@ def _check_site_binding(name: str, binding) -> None:
     unknown = set(binding) - {"scheme", "k"}
     if unknown:
         raise ValueError(f"site {name}: unknown binding keys {sorted(unknown)}")
-    inputs = sorted(n for n, scheme in SCHEMES.items() if scheme.kind in ad.INPUT_KINDS)
-    if binding["scheme"] not in inputs:
-        raise ValueError(f"site {name}: scheme must be one of {inputs}, got {binding['scheme']!r}")
+    if binding["scheme"] not in ad.INPUT_SCHEMES:
+        raise ValueError(
+            f"site {name}: scheme must be one of {sorted(ad.INPUT_SCHEMES)}, got {binding['scheme']!r}"
+        )
     k = binding.get("k")
     if k is not None and (
         isinstance(k, bool) or not isinstance(k, (int, float)) or not 0.0 < k <= 1.0
@@ -203,11 +204,7 @@ def configure_identity(model: TransformerModel) -> TransformerModel:
     return model
 
 
-def model_forward(
-    model: TransformerModel,
-    tokens: np.ndarray,
-    stats: dict | None = None,
-) -> Var:
+def model_forward(model: TransformerModel, tokens: np.ndarray) -> Var:
     """Logits over the vocabulary, shape (batch, len, vocab)."""
     cfg = model.config
     tokens = np.asarray(tokens)
@@ -216,10 +213,7 @@ def model_forward(
     if tokens.shape[1] > cfg.seq_len:
         raise ValueError(f"sequence length {tokens.shape[1]} exceeds seq_len {cfg.seq_len}")
     x = ad.embedding(model.embedding, tokens)
-    for i, blk in enumerate(model.blocks):
-        blk_stats = {} if stats is not None else None
-        if blk_stats is not None and "capture" in stats:
-            blk_stats["capture"] = stats["capture"]
+    for blk in model.blocks:
         attn = attention_forward(
             ad.rmsnorm(x, blk.attn_norm),
             blk.qkv,
@@ -228,7 +222,6 @@ def model_forward(
             cfg.n_heads,
             kv_bits=cfg.kv_bits,
             q_bits=cfg.q_bits,
-            stats=blk_stats,
         )
         x = ad.add(x, attn)
         ffn = ffn_forward(
@@ -237,13 +230,8 @@ def model_forward(
             blk.gate,
             blk.down,
             activation=cfg.activation,
-            stats=blk_stats,
         )
         x = ad.add(x, ffn)
-        if stats is not None:
-            for key, val in blk_stats.items():
-                if key != "capture":
-                    stats[f"blocks.{i}.{key}"] = val
     x = ad.rmsnorm(x, model.final_norm)
     return ad.linear(x, model.head)
 

@@ -30,11 +30,11 @@ class Granularity(enum.Enum):
 
 
 class SchemeKind(enum.Enum):
-    TERNARY_ABSMEAN = "ternary_absmean"
-    INT8_ABSMAX = "int8_absmax"
-    INT4_ABSMEAN = "int4_absmean"
-    FP4_MINMAX = "fp4_minmax"
-    UNSIGNED_ABSMAX = "unsigned_absmax"
+    TERNARY_ABSMEAN = "ternary_absmean"  # scale mean(|W|), codes in {-1, 0, 1}
+    INT8_ABSMAX = "int8_absmax"  # scale max(|X|) per group, codes in [-128, 127]
+    INT4_ABSMEAN = "int4_absmean"  # scale multiplier * mean(|X|), codes in [-8, 7]
+    FP4_MINMAX = "fp4_minmax"  # nearest E2M1 point x scale, max(|X|) lands on 6
+    UNSIGNED_ABSMAX = "unsigned_absmax"  # [-max(|X|), max(|X|)] onto [0, 2^bits - 1]
 
 
 @dataclass(frozen=True)
@@ -234,38 +234,9 @@ def code_dtype(scheme: QuantScheme) -> np.dtype:
 
 
 def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
-    """Quantize a tensor under ``scheme``; see the per-scheme helpers below."""
+    """Quantize a tensor under ``scheme`` (see ``SchemeKind`` for each kind)."""
     codes, scales = codes_and_scales(x, scheme)
     return QuantizedTensor(codes.astype(code_dtype(scheme)), np.asarray(scales), scheme)
-
-
-def quantize_ternary(w) -> QuantizedTensor:
-    """Ternary absmean weights: scale alpha = mean(|W|), codes in {-1, 0, 1}."""
-    return quantize(w, QuantScheme.ternary())
-
-
-def quantize_int8_absmax(x, granularity: Granularity = Granularity.PER_TOKEN) -> QuantizedTensor:
-    """INT8 absmax: scale gamma = max(|X|) per group, codes in [-128, 127]."""
-    return quantize(x, QuantScheme.int8(granularity))
-
-
-def quantize_int4_absmean(
-    x, multiplier: float = 1.0, granularity: Granularity = Granularity.PER_TOKEN
-) -> QuantizedTensor:
-    """INT4 absmean: scale beta = multiplier * mean(|X|), codes in [-8, 7]."""
-    return quantize(x, QuantScheme.int4(multiplier, granularity))
-
-
-def quantize_fp4_minmax(x, granularity: Granularity = Granularity.PER_TOKEN) -> QuantizedTensor:
-    """FP4 E2M1 min-max: nearest point on sign x grid x s, max(|X|) lands on 6."""
-    return quantize(x, QuantScheme.fp4(granularity))
-
-
-def quantize_unsigned_absmax(
-    x, bits: int, granularity: Granularity = Granularity.PER_TOKEN
-) -> QuantizedTensor:
-    """Affine unsigned absmax: [-gamma, gamma] onto [0, 2^bits - 1]."""
-    return quantize(x, QuantScheme.unsigned(bits, granularity))
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:

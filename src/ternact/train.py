@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import Stage, TransformerModel, configure_identity, configure_stage, model_forward
-from .quantcore import QuantScheme, fake_quant
+from .quantcore import SCHEMES, QuantScheme, fake_quant
 from .sparsify import topk_mask
 
 
@@ -164,8 +164,10 @@ def train_step(
     config: TrainerConfig,
     step: int,
 ) -> tuple[float, float]:
-    """One forward/backward/update. Returns (loss, pre-clip grad norm);
-    a non-finite loss skips the update and is reported, not raised."""
+    """One forward/backward/update. Returns (loss, pre-clip grad norm); a
+    non-finite loss or gradient norm skips the update, leaving the weights,
+    the moments and the optimizer step as they were, and is reported, not
+    raised."""
     inputs, targets = batch
     params = model.named_parameters()
     for p in params.values():
@@ -177,7 +179,9 @@ def train_step(
         return loss_val, float("nan")
     loss.backward()
     norm = global_grad_norm(params)
-    if math.isfinite(norm) and norm > config.clip_norm > 0.0:
+    if not math.isfinite(norm):
+        return loss_val, norm
+    if norm > config.clip_norm > 0.0:
         factor = config.clip_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -235,7 +239,8 @@ def run_two_stage(
         log.records.append(record)
         if on_record is not None:
             on_record(record)
-        if monitor.update(loss) and log.divergence_step is None:
+        # a step whose update was skipped for its gradient counts as bad
+        if monitor.update(loss if math.isfinite(norm) else norm) and log.divergence_step is None:
             log.divergence_step = step
             break
     return log
@@ -260,8 +265,8 @@ def _relative_error(a: float, b: float) -> float:
 
 
 # Every scheme a bitlinear input can take, and every quantizer.
-BITLINEAR_INPUTS = (QuantScheme.int8(), QuantScheme.int4(), QuantScheme.int4(multiplier=2.0), QuantScheme.fp4())
-QUANTIZERS = (QuantScheme.ternary(), *BITLINEAR_INPUTS, QuantScheme.unsigned(3), QuantScheme.unsigned(4))
+BITLINEAR_INPUTS = tuple(ad.INPUT_SCHEMES.values())
+QUANTIZERS = tuple(SCHEMES.values())
 
 
 def ste_contract(rng: np.random.Generator) -> tuple[bool, bool]:
@@ -290,7 +295,7 @@ def ste_contract(rng: np.random.Generator) -> tuple[bool, bool]:
         for k, gated in ((None, False), (k_fraction, True), (k_fraction, False)):
             xv = ad.Var(x)
             w.zero_grad()
-            y = ad.bitlinear(xv, w, scheme, k_fraction=k, weight_scheme=ternary, mask_in_adjoint=gated)
+            y = ad.bitlinear(xv, w, ad.input_codes(x, scheme, k), ternary, mask_in_adjoint=gated)
             g = rng.standard_normal(y.shape)
             ad.vsum(ad.mul(y, ad.Var(g))).backward()
             fqx = fake_quant(x, scheme)

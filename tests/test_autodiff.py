@@ -280,7 +280,7 @@ class TestSteOps:
 
         x = ad.Var(RNG.standard_normal((5, 8)))
         w = ad.Var(RNG.standard_normal((3, 8)))
-        out = ad.bitlinear(x, w, QuantScheme.int8(), weight_scheme=QuantScheme.ternary())
+        out = ad.bitlinear(x, w, ad.input_codes(x.value, QuantScheme.int8()), QuantScheme.ternary())
         up = ad.Var(RNG.standard_normal((5, 3)))
         ad.vsum(ad.mul(out, up)).backward()
         fqw = dequantize(quantize(w.value, QuantScheme.ternary()))
@@ -292,7 +292,7 @@ class TestSteOps:
 
         x = ad.Var(RNG.standard_normal((5, 8)))
         w = ad.Var(RNG.standard_normal((3, 8)))
-        out = ad.bitlinear(x, w, QS.int8(), k_fraction=0.5, weight_scheme=QS.ternary())
+        out = ad.bitlinear(x, w, ad.input_codes(x.value, QS.int8(), 0.5), QS.ternary())
         up = ad.Var(RNG.standard_normal((5, 3)))
         ad.vsum(ad.mul(out, up)).backward()
         fqx = fake_quant(x.value, QS.int8()) * topk_mask(x.value, 0.5).mask
@@ -308,8 +308,8 @@ class TestSteOps:
         for flag in (True, False):
             x = ad.Var(xv)
             out = ad.bitlinear(
-                x, w, QuantScheme.int8(), k_fraction=0.5,
-                weight_scheme=QuantScheme.ternary(), mask_in_adjoint=flag,
+                x, w, ad.input_codes(xv, QuantScheme.int8(), 0.5),
+                QuantScheme.ternary(), mask_in_adjoint=flag,
             )
             ad.vsum(ad.mul(out, ad.Var(upv))).backward()
             grads[flag] = x.grad
@@ -318,14 +318,21 @@ class TestSteOps:
         assert np.all(grads[True][~mask] == 0.0)
 
     def test_bitlinear_records_sparsity(self):
-        stats = {}
+        from ternact.layers import BitLinearLayer, Probe, Site, bitlinear_forward, probing
+
+        w = ad.Var(RNG.standard_normal((3, 8)))
+        layer = BitLinearLayer(w, Site.ATTN_OUT, QuantScheme.int8(), k_fraction=0.5)
+        with probing(Probe()) as probe:
+            bitlinear_forward(layer, RNG.standard_normal((4, 8)))
+        assert len(probe.sparsity[Site.ATTN_OUT]) == 1
+        assert probe.sparsity[Site.ATTN_OUT][0] >= 0.5
+
+    def test_bitlinear_rejects_codes_of_another_shape(self):
         x = ad.Var(RNG.standard_normal((4, 8)))
         w = ad.Var(RNG.standard_normal((3, 8)))
-        ad.bitlinear(
-            x, w, QuantScheme.int8(), k_fraction=0.5,
-            weight_scheme=QuantScheme.ternary(), stats=stats, stats_key="attn_out",
-        )
-        assert stats["attn_out"] >= 0.5
+        xin = ad.input_codes(RNG.standard_normal((5, 8)), QuantScheme.int8())
+        with pytest.raises(ValueError, match="do not match"):
+            ad.bitlinear(x, w, xin, QuantScheme.ternary())
 
 
 class TestTapeMechanics:
@@ -385,7 +392,7 @@ class TestWeightCodeCache:
         return calls
 
     def _project(self, x, w):
-        return ad.bitlinear(ad.Var(x), w, QuantScheme.int4(), weight_scheme=self.TERNARY).value
+        return ad.bitlinear(ad.Var(x), w, ad.input_codes(x, QuantScheme.int4()), self.TERNARY).value
 
     def test_no_grad_hit_skips_quantize(self, monkeypatch):
         calls = self._count_weight_quantizes(monkeypatch)

@@ -75,6 +75,24 @@ class TestResolveConfig:
             assert cfg["site_bindings"], name
 
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("total_steps", "3"), ("total_steps", 3.0), ("total_steps", True), ("peak_lr", False),
+         ("peak_lr", "1e-3"), ("fp4_mode", 1), ("activation", 2)],
+    )
+    def test_value_of_wrong_type_rejected(self, tmp_path, key, value):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(str(cfile), {})
+
+    def test_int_accepted_for_float_and_none_defaults_unchecked(self, tmp_path):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"peak_lr": 1, "fp4_mode": True, "single_stage": "stage2"}))
+        cfg = resolve_config(str(cfile), {})
+        assert (cfg["peak_lr"], cfg["fp4_mode"], cfg["single_stage"]) == (1, True, "stage2")
+
+
 class TestTrain:
     def test_zero_steps_emits_initial_checkpoint_only(self, tmp_path):
         assert run_train(tmp_path, "--steps", "0") == 0
@@ -192,6 +210,16 @@ class TestTrain:
         cfile.write_text("{not json")
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfile), "--out-dir", str(out)]) == 1
+
+    def test_wrong_typed_config_value_is_usage_error(self, tmp_path, capsys):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"total_steps": "3"}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfile), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "total_steps" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_ablation_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

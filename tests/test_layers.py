@@ -8,6 +8,7 @@ from ternact.autodiff import Var
 from ternact.layers import (
     BitLinearLayer,
     KvCache,
+    Probe,
     RopeParams,
     Site,
     attention_forward,
@@ -15,6 +16,7 @@ from ternact.layers import (
     causal_mask,
     ffn_forward,
     kv_fake_quant_values,
+    probing,
     relu2glu,
     relu2glu_gate_first,
 )
@@ -53,6 +55,11 @@ class TestBitLinearForward:
         layer = make_layer(3, 4, scheme=QuantScheme.int8())
         with pytest.raises(ValueError):
             bitlinear_forward(layer, Var(np.zeros((2, 5))))
+
+    def test_topk_without_input_scheme_rejected(self):
+        layer = make_layer(3, 4, k=0.5)
+        with pytest.raises(ValueError, match="top-K"):
+            bitlinear_forward(layer, Var(np.ones((2, 4))))
 
     def test_weights_always_ternary_by_default(self):
         layer = make_layer(6, 8, scheme=QuantScheme.int8(), seed=3)
@@ -160,11 +167,10 @@ class TestFfnForward:
         up = make_layer(256, 64, scheme=QuantScheme.int8(), seed=19)
         gate = make_layer(256, 64, scheme=QuantScheme.int8(), seed=20)
         down = make_layer(64, 256, site=Site.DOWN, scheme=QuantScheme.int8(), seed=21)
-        stats = {}
         x = RNG.standard_normal((8, 64))
-        with ad.no_grad():
-            ffn_forward(Var(x), up, gate, down, stats=stats)
-        assert stats["down"] >= 0.45
+        with ad.no_grad(), probing(Probe()) as probe:
+            ffn_forward(Var(x), up, gate, down)
+        assert probe.sparsity[Site.DOWN][0] >= 0.45
 
 
 class TestRope:
@@ -319,11 +325,10 @@ class TestAttention:
     def test_attn_out_sparsity_recorded_with_topk(self):
         qkv, out, rp = base_attention_setup(seed=34)
         out.k_fraction = 0.5
-        stats = {}
         x = RNG.standard_normal((2, 5, 16))
-        with ad.no_grad():
-            attention_forward(Var(x), qkv, out, rp, n_heads=2, stats=stats)
-        assert stats["attn_out"] >= 0.5
+        with ad.no_grad(), probing(Probe()) as probe:
+            attention_forward(Var(x), qkv, out, rp, n_heads=2)
+        assert probe.sparsity[Site.ATTN_OUT][0] >= 0.5
 
     def test_cache_populated_during_forward(self):
         qkv, out, rp = base_attention_setup(seed=35)

@@ -1,18 +1,20 @@
 """Sparsity accounting, the composed up-projection rate, activation
 histograms, and quantization-error comparisons."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ternact import autodiff as ad
+from ternact.cli import main
 from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
-from ternact.layers import Site
+from ternact.layers import Probe, Site, probing
 from ternact.metrics import (
     HistogramSpec,
     activation_histogram,
     composed_up_sparsity,
     eval_perplexity,
-    quant_error_report,
     scheme_label,
     site_param_counts,
     sparsity_report,
@@ -25,6 +27,7 @@ from ternact.model import (
     model_forward,
 )
 from ternact.quantcore import QuantScheme
+from ternact.tensorio import save_tensor
 
 
 def tiny_model(seed=0, **overrides):
@@ -95,13 +98,12 @@ class TestSparsityReport:
     def test_up_row_matches_composition_formula(self):
         # aggregate-mean composition vs exact per-token measurement
         model = tiny_model(stage=Stage.STAGE2)
-        stats = {}
         inputs, _ = next(tiny_stream())
-        with ad.no_grad():
-            model_forward(model, inputs, stats=stats)
-        gate_in = np.mean([v for k, v in stats.items() if k.endswith(".gate")])
-        act = np.mean([v for k, v in stats.items() if k.endswith(".gate_activation")])
-        up_eff = np.mean([v for k, v in stats.items() if k.endswith(".up_effective")])
+        with ad.no_grad(), probing(Probe()) as probe:
+            model_forward(model, inputs)
+        gate_in = np.mean(probe.sparsity[Site.GATE])
+        act = np.mean(probe.gate_activation)
+        up_eff = np.mean(probe.up_effective)
         assert abs(composed_up_sparsity(gate_in, act) - up_eff) < 0.02
 
     def test_identity_silu_model_is_dense(self):
@@ -159,11 +161,10 @@ class TestHistogram:
 
     def test_qkv_inputs_near_symmetric_at_init(self):
         model = tiny_model()
-        collected = []
         inputs, _ = next(tiny_stream())
-        with ad.no_grad():
-            model_forward(model, inputs, stats={"capture": {"qkv": collected}})
-        values = np.concatenate([a.ravel() for a in collected])
+        with ad.no_grad(), probing(Probe(keep_inputs=[Site.QKV])) as probe:
+            model_forward(model, inputs)
+        values = np.concatenate([a.ravel() for a in probe.inputs[Site.QKV]])
         centered = values - values.mean()
         skewness = np.mean(centered**3) / np.mean(centered**2) ** 1.5
         assert abs(skewness) < 0.5
@@ -178,45 +179,42 @@ class TestHistogram:
             HistogramSpec("qkv", np.array([0.0, 1.0]), np.array([1, 2]))
 
 
-class TestQuantErrorReport:
-    def test_identity_scheme_zero_error(self):
-        x = np.random.default_rng(0).standard_normal((8, 16))
-        rep = quant_error_report(x, [None])
-        assert rep["identity"]["mse"] == 0.0
-        assert rep["identity"]["max_abs_err"] == 0.0
+def quant_report(tmp_path, x, scheme_name: str) -> dict:
+    """The error report ``ternact quant`` writes for ``x`` under a scheme."""
+    tensor = tmp_path / "x.ba48"
+    save_tensor(tensor, x)
+    out = tmp_path / scheme_name
+    args = ["quant", "--tensor", str(tensor), "--out-dir", str(out), "--scheme", scheme_name]
+    assert main(args) == 0
+    return json.loads((out / "quant_stats.json").read_text())
 
-    def test_zero_input_zero_error_for_all_schemes(self):
-        x = np.zeros((4, 8))
-        schemes = [
-            QuantScheme.int8(),
-            QuantScheme.int4(),
-            QuantScheme.fp4(),
-            QuantScheme.unsigned(4),
-        ]
-        rep = quant_error_report(x, schemes)
-        for entry in rep.values():
-            assert entry["mse"] == 0.0
+
+class TestQuantErrorReport:
+    """Reconstruction errors as the ``quant`` command reports them."""
+
+    def test_zero_input_zero_error_for_all_schemes(self, tmp_path):
+        for name in ("int8", "int4", "fp4", "unsigned4"):
+            assert quant_report(tmp_path, np.zeros((4, 8)), name)["mse"] == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_int8_beats_int4_on_heavy_tails(self, seed):
+    def test_int8_beats_int4_on_heavy_tails(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_t(3, size=(64, 128))
-        rep = quant_error_report(x, [QuantScheme.int8(), QuantScheme.int4()])
-        assert rep["int8_absmax"]["mse"] <= rep["int4_absmean"]["mse"]
-
-    def test_histogram_counts_cover_input(self):
-        x = np.random.default_rng(3).standard_normal((8, 16))
-        rep = quant_error_report(x, [QuantScheme.int8()], bins=16)
-        assert rep["int8_absmax"]["histogram"].sample_count == x.size
+        int8, int4 = (quant_report(tmp_path, x, name) for name in ("int8", "int4"))
+        assert (int8["scheme"], int4["scheme"]) == ("int8_absmax", "int4_absmean")
+        assert int8["mse"] <= int4["mse"]
 
     def test_labels_disambiguate_variants(self):
         assert scheme_label(QuantScheme.int4(multiplier=2.0)) == "int4_absmean_x2"
         assert scheme_label(QuantScheme.unsigned(3)) == "unsigned_absmax_3bit"
         assert scheme_label(None) == "identity"
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            quant_error_report(np.zeros((0,)), [QuantScheme.int8()])
+    def test_empty_input_rejected(self, tmp_path, capsys):
+        tensor = tmp_path / "empty.ba48"
+        save_tensor(tensor, np.zeros((0,)))
+        args = ["quant", "--tensor", str(tensor), "--out-dir", str(tmp_path / "q"), "--scheme", "int8"]
+        assert main(args) == 1
+        assert "error: input is empty" in capsys.readouterr().err
 
 
 class TestPerplexity:

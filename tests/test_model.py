@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ternact import autodiff as ad
-from ternact.layers import Site
+from ternact.layers import Probe, Site, probing
 from ternact.model import (
     ModelConfig,
     Stage,
@@ -17,6 +17,7 @@ from ternact.model import (
     stage_bindings,
 )
 from ternact.quantcore import SCHEMES, SchemeKind
+from ternact.sparsify import measure_sparsity
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -208,14 +209,15 @@ class TestForward:
     def test_stats_keys_cover_all_sites(self):
         model = TransformerModel(tiny_config(stage=Stage.STAGE2), seed=0)
         tokens = np.random.default_rng(5).integers(0, 32, size=(2, 8))
-        stats = {}
-        with ad.no_grad():
-            model_forward(model, tokens, stats=stats)
-        leaves = [site.value for site in Site] + ["gate_activation", "up_effective"]
-        expected = {f"blocks.{i}.{leaf}" for i in range(2) for leaf in leaves}
-        assert set(stats) == expected
-        assert stats["blocks.0.attn_out"] >= 0.5
-        assert stats["blocks.0.up_effective"] >= stats["blocks.0.gate_activation"]
+        with ad.no_grad(), probing(Probe()) as probe:
+            model_forward(model, tokens)
+        # one entry per block at every site, in block order
+        assert set(probe.sparsity) == set(Site)
+        for rates in (*probe.sparsity.values(), probe.gate_activation, probe.up_effective):
+            assert len(rates) == 2
+        assert probe.sparsity[Site.ATTN_OUT][0] >= 0.5
+        assert probe.up_effective[0] >= probe.gate_activation[0]
+        assert probe.inputs == {}
 
     def test_greedy_decode_extends_and_is_deterministic(self):
         model = TransformerModel(tiny_config(), seed=0)
@@ -225,6 +227,71 @@ class TestForward:
         assert out1.shape == (1, 8)
         np.testing.assert_array_equal(out1, out2)
         np.testing.assert_array_equal(out1[:, :3], prompt)
+
+
+class TestProbe:
+    """``layers.probing`` records what each projection consumed, reading the
+    input codes the matmul used rather than quantizing again."""
+
+    TOKENS = np.random.default_rng(6).integers(0, 32, size=(2, 8))
+
+    def stage2_model(self):
+        return TransformerModel(tiny_config(stage=Stage.STAGE2), seed=0)
+
+    def test_probed_forward_quantizes_no_more(self, monkeypatch):
+        model = self.stage2_model()
+        with ad.no_grad():
+            model_forward(model, self.TOKENS)  # warm the weight-code cache
+        calls = []
+        real = ad.quantize
+        monkeypatch.setattr(ad, "quantize", lambda x, scheme: calls.append(scheme) or real(x, scheme))
+        with ad.no_grad():
+            model_forward(model, self.TOKENS)
+        unprobed = len(calls)
+        calls.clear()
+        with ad.no_grad(), probing(Probe(keep_inputs=list(Site))):
+            model_forward(model, self.TOKENS)
+        assert len(calls) == unprobed == 2 * len(Site)
+
+    def test_each_site_rate_is_the_consumed_input_sparsity(self):
+        model = self.stage2_model()
+        with ad.no_grad(), probing(Probe(keep_inputs=list(Site))) as probe:
+            model_forward(model, self.TOKENS)
+        by_site = {site: [l for l in model.projection_layers() if l.site is site] for site in Site}
+        for site in Site:
+            assert len(probe.sparsity[site]) == len(probe.inputs[site]) == 2
+            for layer, x, rate in zip(by_site[site], probe.inputs[site], probe.sparsity[site]):
+                consumed = ad.input_codes(x, layer.input_scheme, layer.k_fraction).values()
+                assert rate == measure_sparsity(consumed), site
+
+    def test_nothing_recorded_outside_probing(self):
+        model = self.stage2_model()
+        probe = Probe(keep_inputs=list(Site))
+        with ad.no_grad():
+            model_forward(model, self.TOKENS)
+            with probing(probe):
+                pass
+            model_forward(model, self.TOKENS)
+        assert all(not rates for rates in probe.sparsity.values())
+        assert all(not rows for rows in probe.inputs.values())
+        assert not probe.gate_activation and not probe.up_effective
+
+    def test_slot_restored_after_nesting_and_exception(self):
+        model = self.stage2_model()
+        outer, inner = Probe(), Probe()
+        with ad.no_grad(), probing(outer):
+            with probing(inner):
+                model_forward(model, self.TOKENS)
+            model_forward(model, self.TOKENS)
+            with pytest.raises(RuntimeError):
+                with probing(inner):
+                    raise RuntimeError("inside the block")
+            model_forward(model, self.TOKENS)
+        with ad.no_grad():
+            model_forward(model, self.TOKENS)
+        assert len(inner.up_effective) == 2
+        assert len(outer.up_effective) == 4
+        assert [len(r) for r in outer.sparsity.values()] == [4] * len(Site)
 
 
 class TestSiteBindings:

@@ -22,11 +22,6 @@ from ternact.quantcore import (
     dequantize,
     fake_quant,
     quantize,
-    quantize_fp4_minmax,
-    quantize_int4_absmean,
-    quantize_int8_absmax,
-    quantize_ternary,
-    quantize_unsigned_absmax,
     round_clip,
 )
 
@@ -71,18 +66,18 @@ class TestRoundClip:
 class TestTernary:
     def test_mixed_weights(self):
         # ORACLE: alpha = (0.3+0.8+0.05)/3; 0.3/alpha' -> 1, -0.8/alpha' -> -2 clipped
-        q = quantize_ternary([0.3, -0.8, 0.05])
+        q = quantize([0.3, -0.8, 0.05], QuantScheme.ternary())
         assert np.array_equal(q.codes, [1, -1, 0])
         assert q.scales == np.abs([0.3, -0.8, 0.05]).mean()
         assert q.scales == pytest.approx(0.38333, abs=5e-6)
 
     def test_zero_tensor(self):
-        q = quantize_ternary(np.zeros(5))
+        q = quantize(np.zeros(5), QuantScheme.ternary())
         assert q.scales == 0.0
         assert np.array_equal(q.codes, np.zeros(5))
 
     def test_symmetric_at_mean(self):
-        q = quantize_ternary([1.0, -1.0, 1.0, -1.0])
+        q = quantize([1.0, -1.0, 1.0, -1.0], QuantScheme.ternary())
         assert q.scales == 1.0
         assert np.array_equal(q.codes, [1, -1, 1, -1])
         assert np.array_equal(dequantize(q), [1.0, -1.0, 1.0, -1.0])
@@ -96,7 +91,7 @@ class TestTernary:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            quantize_ternary([])
+            quantize([], QuantScheme.ternary())
 
     def test_rejects_per_token_granularity(self):
         with pytest.raises(ValueError):
@@ -105,25 +100,25 @@ class TestTernary:
 
 class TestInt8Absmax:
     def test_extremes_map_to_127(self):
-        q = quantize_int8_absmax([-1.0, 1.0])
+        q = quantize([-1.0, 1.0], QuantScheme.int8())
         assert np.array_equal(q.codes, [-127, 127])
         assert np.array_equal(dequantize(q), [-1.0, 1.0])
 
     def test_positive_max(self):
         # ORACLE: gamma = 2.54, codes = round(127*x/(gamma+eps))
-        q = quantize_int8_absmax([0.0, 2.54])
+        q = quantize([0.0, 2.54], QuantScheme.int8())
         assert np.array_equal(q.codes, [0, 127])
         assert q.scales == 2.54
         assert np.array_equal(dequantize(q), [0.0, 2.54])
 
     def test_zero_tensor(self):
-        q = quantize_int8_absmax(np.zeros(4))
+        q = quantize(np.zeros(4), QuantScheme.int8())
         assert q.scales == 0.0
         assert np.array_equal(q.codes, np.zeros(4))
 
     def test_per_token_scales(self):
         x = np.array([[1.0, -2.0], [0.5, 0.25]])
-        q = quantize_int8_absmax(x)
+        q = quantize(x, QuantScheme.int8())
         assert np.array_equal(q.scales, [2.0, 0.5])
         # 127*1/(2+eps) = 63.49996..., so the eps in the denominator decides
         # this tie downward; without it the ratio would be exactly 63.5
@@ -131,7 +126,7 @@ class TestInt8Absmax:
 
     def test_per_tensor_granularity(self):
         x = np.array([[1.0, -2.0], [0.5, 0.25]])
-        q = quantize_int8_absmax(x, Granularity.PER_TENSOR)
+        q = quantize(x, QuantScheme.int8(Granularity.PER_TENSOR))
         assert q.scales.shape == ()
         assert q.scales == 2.0
 
@@ -139,7 +134,7 @@ class TestInt8Absmax:
 class TestInt4Absmean:
     def test_unit_alternation(self):
         # ORACLE: beta = 1, codes = round(sqrt(7)/(1+eps)) = 3, dequant = 3/sqrt(7)
-        q = quantize_int4_absmean([1.0, -1.0, 1.0, -1.0])
+        q = quantize([1.0, -1.0, 1.0, -1.0], QuantScheme.int4())
         assert q.scales == 1.0
         assert np.array_equal(q.codes, [3, -3, 3, -3])
         expected = 3.0 / SQRT7
@@ -148,30 +143,30 @@ class TestInt4Absmean:
 
     def test_outlier_clips(self):
         # ORACLE: beta = 10.3/4 = 2.575; sqrt(7)*10/beta' = 10.27 -> clipped to 7
-        q = quantize_int4_absmean([10.0, 0.1, 0.1, 0.1])
+        q = quantize([10.0, 0.1, 0.1, 0.1], QuantScheme.int4())
         assert q.scales == np.abs([10.0, 0.1, 0.1, 0.1]).mean()
         assert q.scales == pytest.approx(2.575, rel=1e-12)
         assert q.codes[0] == 7
         assert np.array_equal(q.codes[1:], [0, 0, 0])
 
     def test_zero_tensor(self):
-        q = quantize_int4_absmean(np.zeros(3))
+        q = quantize(np.zeros(3), QuantScheme.int4())
         assert np.array_equal(q.codes, np.zeros(3))
 
     def test_double_multiplier_halves_codes(self):
         # ORACLE: beta doubles, so sqrt(7)/2 = 1.32 -> code 1
-        q = quantize_int4_absmean([1.0, -1.0, 1.0, -1.0], multiplier=2.0)
+        q = quantize([1.0, -1.0, 1.0, -1.0], QuantScheme.int4(multiplier=2.0))
         assert q.scales == 2.0
         assert np.array_equal(q.codes, [1, -1, 1, -1])
 
     def test_multiplier_validated(self):
         with pytest.raises(ValueError):
-            quantize_int4_absmean([1.0], multiplier=3.0)
+            quantize([1.0], QuantScheme.int4(multiplier=3.0))
 
 
 class TestFp4MinMax:
     def test_zero_tensor(self):
-        q = quantize_fp4_minmax(np.zeros(4))
+        q = quantize(np.zeros(4), QuantScheme.fp4())
         assert q.scales == 0.0
         assert np.all(dequantize(q) == 0.0)
 
@@ -189,7 +184,7 @@ class TestFp4MinMax:
 
     def test_nearest_grid_projection(self):
         # ORACLE: brute-force nearest point over the 16-value signed E2M1 set
-        q = quantize_fp4_minmax([6.0, 2.4, -0.7])
+        q = quantize([6.0, 2.4, -0.7], QuantScheme.fp4())
         assert q.scales == 1.0
         assert np.array_equal(dequantize(q), [6.0, 2.0, -0.5])
 
@@ -198,7 +193,7 @@ class TestFp4MinMax:
         signed_grid = np.concatenate([-E2M1_GRID[:0:-1], E2M1_GRID])
         for _ in range(200):
             x = rng.uniform(-1.0, 1.0, size=8) * 10.0 ** rng.uniform(-2, 2)
-            q = quantize_fp4_minmax(x)
+            q = quantize(x, QuantScheme.fp4())
             s = float(q.scales)
             got = dequantize(q)
             if s == 0.0:
@@ -215,7 +210,7 @@ class TestFp4MinMax:
 
     def test_max_maps_to_six(self):
         x = np.array([0.3, -0.9, 0.05])
-        q = quantize_fp4_minmax(x)
+        q = quantize(x, QuantScheme.fp4())
         assert np.abs(q.codes).max() == 7
         assert np.max(np.abs(dequantize(q))) == pytest.approx(0.9, rel=1e-12)
 
@@ -256,28 +251,28 @@ class TestFp4MinMax:
 
 class TestUnsignedAbsmax:
     def test_range_extremes_4bit(self):
-        q = quantize_unsigned_absmax([-1.0, 1.0], bits=4)
+        q = quantize([-1.0, 1.0], QuantScheme.unsigned(4))
         assert np.array_equal(q.codes, [0, 15])
         assert np.array_equal(dequantize(q), [-1.0, 1.0])
 
     def test_zero_maps_to_middle(self):
         # ORACLE: (0/1 + 1)/2 * 15 = 7.5, half-away -> 8; dequant 2*(8/15) - 1
-        q = quantize_unsigned_absmax([0.0, 1.0], bits=4)
+        q = quantize([0.0, 1.0], QuantScheme.unsigned(4))
         assert np.array_equal(q.codes, [8, 15])
         assert dequantize(q)[0] == pytest.approx(1.0 / 15.0, rel=1e-12)
         assert dequantize(q)[0] == pytest.approx(0.0667, abs=1e-4)
 
     def test_range_extremes_3bit(self):
-        q = quantize_unsigned_absmax([-1.0, 1.0], bits=3)
+        q = quantize([-1.0, 1.0], QuantScheme.unsigned(3))
         assert np.array_equal(q.codes, [0, 7])
 
     def test_zero_group(self):
-        q = quantize_unsigned_absmax(np.zeros(3), bits=4)
+        q = quantize(np.zeros(3), QuantScheme.unsigned(4))
         assert np.all(dequantize(q) == 0.0)
 
     def test_bits_validated(self):
         with pytest.raises(ValueError):
-            quantize_unsigned_absmax([1.0], bits=5)
+            quantize([1.0], QuantScheme.unsigned(5))
 
 
 class TestDequantize:
@@ -287,13 +282,13 @@ class TestDequantize:
         assert np.array_equal(dequantize(q), [0.5, -0.5, 0.0])
 
     def test_int8_full_scale(self):
-        q = quantize_int8_absmax([2.54])
+        q = quantize([2.54], QuantScheme.int8())
         assert q.codes[0] == 127
         assert dequantize(q)[0] == 2.54
 
     def test_int4_code7(self):
         # ORACLE: 7/sqrt(7) * 1 = sqrt(7) = 2.64575...
-        q = quantize_int4_absmean([10.0, 0.1, 0.1, 0.1])
+        q = quantize([10.0, 0.1, 0.1, 0.1], QuantScheme.int4())
         got = dequantize(q)[0]
         assert got == pytest.approx(7.0 / SQRT7 * 2.575, rel=1e-12)
         assert got / q.scales == pytest.approx(2.64575, abs=1e-5)
@@ -377,8 +372,8 @@ class TestPropertySuite:
         rng = np.random.default_rng(5)
         for _ in range(50):
             w = rng.standard_normal(64) * 10.0 ** rng.uniform(-2, 2)
-            q1 = quantize_ternary(w)
-            q2 = quantize_ternary(dequantize(q1))
+            q1 = quantize(w, QuantScheme.ternary())
+            q2 = quantize(dequantize(q1), QuantScheme.ternary())
             assert np.array_equal(q1.codes, q2.codes)
 
     def test_scaling_flips_are_boundary_steps(self):

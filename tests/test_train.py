@@ -172,7 +172,7 @@ class TestSteBackward:
     @staticmethod
     def _bitlinear_grads(x, w, scheme, k, gated):
         xv, wv = ad.Var(x), ad.Var(w)
-        y = ad.bitlinear(xv, wv, scheme, k_fraction=k, weight_scheme=QuantScheme.ternary(),
+        y = ad.bitlinear(xv, wv, ad.input_codes(x, scheme, k), QuantScheme.ternary(),
                          mask_in_adjoint=gated)
         g = np.random.default_rng(5).standard_normal(y.shape)
         ad.vsum(ad.mul(y, ad.Var(g))).backward()
@@ -242,6 +242,38 @@ class TestTrainStep:
         assert math.isnan(norm)
         np.testing.assert_array_equal(model.embedding.value, before)
         assert state.step == 0
+
+
+def overflowing_model() -> TransformerModel:
+    """A finite model whose loss stays finite but whose gradient norm is
+    not: the huge embedding column overflows in the rmsnorm adjoint."""
+    model = tiny_model()
+    model.embedding.value[:, 0] = 1e200
+    return model
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_step_leaves_weights_and_moments_untouched(self):
+        model = overflowing_model()
+        state = OptimizerState.init(model)
+        before = {k: p.value.copy() for k, p in model.named_parameters().items()}
+        loss, norm = train_step(model, next(tiny_stream()), state, TrainerConfig(total_steps=10), step=0)
+        assert math.isfinite(loss)
+        assert not math.isfinite(norm)
+        for name, p in model.named_parameters().items():
+            assert np.all(np.isfinite(p.value)), name
+            np.testing.assert_array_equal(p.value, before[name])
+        assert state.step == 0
+        assert all(not np.any(m) for m in state.m.values())
+        assert all(not np.any(v) for v in state.v.values())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_run_stuck_on_it_diverges(self):
+        cfg = TrainerConfig(total_steps=60, warmup_steps=2, batch_size=2, single_stage=Stage.STAGE1)
+        log = run_two_stage(overflowing_model(), tiny_stream(), cfg)
+        assert log.divergence_step == 49
+        assert all(math.isfinite(r.loss) and not math.isfinite(r.grad_norm) for r in log.records)
 
 
 class TestDivergenceMonitor:
