@@ -249,15 +249,12 @@ def softmax(a: Var, axis: int = -1) -> Var:
     return Var(p, (a,), lambda g: (p * (g - np.sum(g * p, axis=axis, keepdims=True)),))
 
 
-def _rope_angles(positions: np.ndarray, head_dim: int, base: float) -> tuple[np.ndarray, np.ndarray]:
-    half = head_dim // 2
-    freqs = base ** (-2.0 * np.arange(half) / head_dim)
-    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.cos(angles), np.sin(angles)
+# Rotary embedding base: pair i of a head turns by pos * ROPE_BASE^(-2i/d).
+ROPE_BASE = 10000.0
 
 
-def rope(a: Var, positions: np.ndarray, base: float = 10000.0) -> Var:
-    """Rotate interleaved pairs of the last axis by pos * base^(-2i/d).
+def rope(a: Var, positions: np.ndarray) -> Var:
+    """Rotate interleaved pairs of the last axis by pos * ROPE_BASE^(-2i/d).
 
     Expects (..., T, head_dim) with an even head_dim; positions has length T.
     """
@@ -265,7 +262,9 @@ def rope(a: Var, positions: np.ndarray, base: float = 10000.0) -> Var:
     d = a.value.shape[-1]
     if d % 2 != 0:
         raise ValueError(f"rope requires an even head_dim, got {d}")
-    cos, sin = _rope_angles(positions, d, base)
+    freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    cos, sin = np.cos(angles), np.sin(angles)
 
     def rotate(v, cos, sin):
         even, odd = v[..., 0::2], v[..., 1::2]

@@ -352,10 +352,10 @@ def cmd_gradcheck(cfg: dict, args) -> int:
 
 
 def cmd_sparsity(cfg: dict, args) -> int:
-    out = _out_dir(args)
     model, extra = _load_model(args.checkpoint)
     stream = _eval_stream(cfg, model, extra)
     report = sparsity_report(model, stream, n_batches=args.batches)
+    out = _out_dir(args)
     csv_path = out / "sparsity.csv"
     json_path = out / "sparsity.json"
     csv_path.write_text(report.to_csv_text())
@@ -368,12 +368,12 @@ def cmd_sparsity(cfg: dict, args) -> int:
 
 
 def cmd_hist(cfg: dict, args) -> int:
-    out = _out_dir(args)
     model, extra = _load_model(args.checkpoint)
     stream = _eval_stream(cfg, model, extra)
     hist = activation_histogram(
         model, stream, args.site, bins=args.bins, n_batches=args.batches
     )
+    out = _out_dir(args)
     path = out / f"hist_{args.site}.csv"
     path.write_text(hist.to_csv_text())
     print(f"{hist.sample_count} samples in {len(hist.counts)} bins -> {path}")
@@ -382,7 +382,6 @@ def cmd_hist(cfg: dict, args) -> int:
 
 
 def cmd_kv_eval(cfg: dict, args) -> int:
-    out = _out_dir(args)
     model, extra = _load_model(args.checkpoint)
 
     def ppl(kv_bits: int, q_bits: int) -> float:
@@ -394,6 +393,7 @@ def cmd_kv_eval(cfg: dict, args) -> int:
     baseline = ppl(8, 16)
     variant = ppl(args.kv_bits, args.q_bits)
     degradation = 100.0 * (variant - baseline) / baseline
+    out = _out_dir(args)
     csv_path = out / "kv_eval.csv"
     csv_path.write_text(
         "kv_bits,q_bits,perplexity\n"
@@ -426,7 +426,6 @@ def cmd_kv_eval(cfg: dict, args) -> int:
 
 
 def cmd_quant(cfg: dict, args) -> int:
-    out = _out_dir(args)
     try:
         x = load_tensor(args.tensor)
     except FileNotFoundError:
@@ -445,6 +444,7 @@ def cmd_quant(cfg: dict, args) -> int:
         "mse": float(np.mean(err**2)),
         "max_abs_err": float(np.max(np.abs(err))),
     }
+    out = _out_dir(args)
     q_path = out / (Path(args.tensor).stem + f".{args.scheme}.q48")
     save_quantized(q_path, q)
     report_path = out / "quant_stats.json"

@@ -59,16 +59,6 @@ class BitLinearLayer:
             raise ValueError("latent weights must be a 2-D out x in matrix")
 
 
-@dataclass(frozen=True)
-class RopeParams:
-    head_dim: int
-    base: float = 10000.0
-
-    def __post_init__(self):
-        if self.head_dim % 2 != 0:
-            raise ValueError(f"head_dim must be even, got {self.head_dim}")
-
-
 class Probe:
     """What forwards run inside ``probing`` measured, one list entry per
     projection call in call order, so a forward's entries are in block order.
@@ -185,23 +175,22 @@ def ffn_forward(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer, down_la
     return bitlinear_forward(down_layer, h)
 
 
-def _unsigned_per_group(values: np.ndarray, bits: int) -> np.ndarray:
-    return fake_quant(values, QuantScheme.unsigned(bits))
+def kv_code_bits(position: int, kv_bits: int) -> int:
+    """Bits a key/value entry at an absolute position is stored with: the
+    first position keeps 4 bits under a 3-bit cache; 8 means raw values."""
+    return 4 if position == 0 and kv_bits == 3 else kv_bits
 
 
 def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> np.ndarray:
-    """Fake-quantize (..., T, head_dim) per head per position.
-
-    kv_bits=8 means off (the caller should not even get here); at 3 bits any
-    entry at absolute position 0 is kept at 4 bits instead.
-    """
+    """Fake-quantize (..., T, head_dim) per head per position at
+    ``kv_code_bits`` (kv_bits=8 is raw, so the caller should not get here)."""
     if kv_bits not in (3, 4):
         raise ValueError(f"kv fake-quant expects 3 or 4 bits, got {kv_bits}")
-    out = _unsigned_per_group(values, kv_bits)
-    if kv_bits == 3:
-        bos = np.asarray(positions) == 0
-        if bos.any():
-            out[..., bos, :] = _unsigned_per_group(values[..., bos, :], 4)
+    out = fake_quant(values, QuantScheme.unsigned(kv_bits))
+    bos_bits = kv_code_bits(0, kv_bits)
+    bos = np.asarray(positions) == 0
+    if bos_bits != kv_bits and bos.any():
+        out[..., bos, :] = fake_quant(values[..., bos, :], QuantScheme.unsigned(bos_bits))
     return out
 
 
@@ -213,31 +202,25 @@ class KvCache:
     raw values.
     """
 
-    def __init__(self, kv_bits: int = 8, q_bits: int = 16):
-        check_bit_widths(kv_bits, q_bits)
+    def __init__(self, kv_bits: int = 8):
+        if kv_bits not in VALID_KV_BITS:
+            raise ValueError(f"kv_bits must be one of {VALID_KV_BITS}, got {kv_bits}")
         self.kv_bits = kv_bits
-        self.q_bits = q_bits
-        self.bos_bits = 4 if kv_bits == 3 else kv_bits
         self._k: list = []
         self._v: list = []
 
     def __len__(self) -> int:
         return len(self._k)
 
-    def _bits_for(self, position: int) -> int:
-        return self.bos_bits if position == 0 else self.kv_bits
-
     def append(self, k_heads: np.ndarray, v_heads: np.ndarray) -> None:
         """Store one position's (..., n_heads, head_dim) K and V."""
         if k_heads.shape != v_heads.shape:
             raise ValueError("K and V head shapes differ")
-        position = len(self._k)
         if self.kv_bits == 8:
             self._k.append(np.array(k_heads, dtype=np.float64))
             self._v.append(np.array(v_heads, dtype=np.float64))
             return
-        bits = self._bits_for(position)
-        scheme = QuantScheme.unsigned(bits)
+        scheme = QuantScheme.unsigned(kv_code_bits(len(self._k), self.kv_bits))
         self._k.append(quantize(k_heads, scheme))
         self._v.append(quantize(v_heads, scheme))
 
@@ -257,9 +240,7 @@ class KvCache:
 
     def stored_code_bits(self, position: int) -> int:
         """Bits actually used for a stored position (inspection hook)."""
-        if self.kv_bits == 8:
-            return 8
-        return self._bits_for(position)
+        return kv_code_bits(position, self.kv_bits)
 
 
 def causal_mask(t: int) -> np.ndarray:
@@ -271,26 +252,22 @@ def attention_forward(
     x,
     qkv_layer: BitLinearLayer,
     out_layer: BitLinearLayer,
-    rope_params: RopeParams,
     n_heads: int,
     kv_bits: int = 8,
     q_bits: int = 16,
-    causal: bool = True,
     positions: np.ndarray | None = None,
     cache: KvCache | None = None,
 ) -> Var:
-    """Multi-head attention with quantized projections and post-rotation
-    K/V treatment. When a cache is given, the current K/V heads are appended
-    to it position by position (and attention still runs over the in-call
-    sequence; cache replay for incremental decode goes through the cache's
-    own accessors)."""
+    """Causal multi-head attention with quantized projections and
+    post-rotation K/V treatment. When a cache is given, the current K/V heads
+    are appended to it position by position (and attention still runs over
+    the in-call sequence; cache replay for incremental decode goes through
+    the cache's own accessors)."""
     x = ad.as_var(x)
     b, t, h = x.value.shape
     if h % n_heads != 0:
         raise ValueError(f"hidden size {h} not divisible by {n_heads} heads")
     hd = h // n_heads
-    if hd != rope_params.head_dim:
-        raise ValueError("rope head_dim does not match hidden/heads")
     check_bit_widths(kv_bits, q_bits)
     if positions is None:
         positions = np.arange(t)
@@ -302,11 +279,11 @@ def attention_forward(
         return ad.transpose(ad.reshape(z, (b, t, n_heads, hd)), (0, 2, 1, 3))
 
     q, k, v = to_heads(q), to_heads(k), to_heads(v)
-    q = ad.rope(q, positions, rope_params.base)
-    k = ad.rope(k, positions, rope_params.base)
+    q = ad.rope(q, positions)
+    k = ad.rope(k, positions)
 
     if q_bits == 4:
-        q = ad.fake_quant_ste(q, lambda z: _unsigned_per_group(z, 4))
+        q = ad.fake_quant_ste(q, lambda z: fake_quant(z, QuantScheme.unsigned(4)))
     if kv_bits != 8:
         k = ad.fake_quant_ste(k, lambda z: kv_fake_quant_values(z, kv_bits, positions))
         v = ad.fake_quant_ste(v, lambda z: kv_fake_quant_values(z, kv_bits, positions))
@@ -316,8 +293,7 @@ def attention_forward(
             cache.append(k.value[..., pos, :], v.value[..., pos, :])
 
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    if causal:
-        scores = ad.add_const(scores, causal_mask(t))
+    scores = ad.add_const(scores, causal_mask(t))
     attn = ad.softmax(scores)
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, t, h))
     return bitlinear_forward(out_layer, ctx)

@@ -23,7 +23,6 @@ from . import autodiff as ad
 from .autodiff import Var
 from .layers import (
     BitLinearLayer,
-    RopeParams,
     Site,
     attention_forward,
     check_bit_widths,
@@ -61,6 +60,8 @@ class ModelConfig:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by n_heads {self.n_heads}"
             )
+        if self.head_dim % 2 != 0:
+            raise ValueError(f"head_dim must be even for the rotary embedding, got {self.head_dim}")
         check_bit_widths(self.kv_bits, self.q_bits)
         if self.activation not in ("relu2", "silu"):
             raise ValueError("activation must be 'relu2' or 'silu'")
@@ -133,7 +134,6 @@ class TransformerModel:
             )
         self.final_norm = Var(np.ones(h))
         self.head = Var(rng.standard_normal((v, h)) * 0.02)
-        self.rope = RopeParams(head_dim=config.head_dim)
         configure_stage(self, config.stage)
 
     def named_parameters(self) -> dict[str, Var]:
@@ -155,14 +155,6 @@ class TransformerModel:
         for blk in self.blocks:
             layers.extend([blk.qkv, blk.attn_out, blk.gate, blk.up, blk.down])
         return layers
-
-    def num_parameters(self, non_embedding: bool = True) -> int:
-        """Total parameters; with ``non_embedding`` the token table and the
-        output head (both vocab x hidden lookup tables) are excluded."""
-        total = sum(p.value.size for p in self.named_parameters().values())
-        if non_embedding:
-            total -= self.embedding.value.size + self.head.value.size
-        return total
 
 
 def stage_bindings(stage: Stage, fp4_mode: bool) -> dict[Site, tuple[QuantScheme | None, float | None]]:
@@ -218,7 +210,6 @@ def model_forward(model: TransformerModel, tokens: np.ndarray) -> Var:
             ad.rmsnorm(x, blk.attn_norm),
             blk.qkv,
             blk.attn_out,
-            model.rope,
             cfg.n_heads,
             kv_bits=cfg.kv_bits,
             q_bits=cfg.q_bits,

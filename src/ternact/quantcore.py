@@ -105,9 +105,9 @@ class QuantizedTensor:
     scales: np.ndarray
     scheme: QuantScheme
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.codes.shape
+
+class NonFiniteValueError(ValueError):
+    """A quantizer input holds NaN or infinity."""
 
 
 def _as_checked_array(x, name: str = "input") -> np.ndarray:
@@ -115,20 +115,12 @@ def _as_checked_array(x, name: str = "input") -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteValueError(f"{name} contains non-finite values")
     return arr
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
-
-
-def round_clip(x, a: float, b: float) -> np.ndarray:
-    """Round half away from zero, then clip into [a, b], elementwise."""
-    if not a <= b:
-        raise ValueError(f"empty clip range [{a}, {b}]")
-    arr = _as_checked_array(x)
-    return np.clip(_round_half_away(arr), a, b)
 
 
 def _group_reduce(x: np.ndarray, granularity: Granularity, fn) -> np.ndarray:

@@ -19,15 +19,9 @@ from .quantcore import _as_checked_array
 
 @dataclass(frozen=True)
 class TopKMask:
-    """Boolean keep-mask plus the bookkeeping that defines it."""
+    """Boolean keep-mask, True where an entry is kept."""
 
     mask: np.ndarray
-    k_fraction: float
-    kept_counts: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.mask.shape
 
 
 def kept_count(width: int, k_fraction: float) -> int:
@@ -59,8 +53,7 @@ def topk_mask(x, k_fraction: float) -> TopKMask:
             above, tied = m > t, m == t
             room = kept - np.count_nonzero(above, axis=-1)
             mask[crowded] = above | (tied & (np.cumsum(tied, axis=-1) <= room[..., None]))
-    counts = np.full(x.shape[:-1], kept, dtype=np.int64)
-    return TopKMask(mask=mask, k_fraction=float(k_fraction), kept_counts=counts)
+    return TopKMask(mask)
 
 
 def measure_sparsity(x) -> float:

@@ -18,8 +18,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import Stage, TransformerModel, configure_identity, configure_stage, model_forward
-from .quantcore import SCHEMES, QuantScheme, fake_quant
+from .quantcore import SCHEMES, NonFiniteValueError, QuantScheme, fake_quant
 from .sparsify import topk_mask
+
+ADAM_BETAS = (0.9, 0.95)
+ADAM_EPS = 1e-8
+FD_EPS = 1e-5  # central finite-difference step of grad_check_ste
 
 
 @dataclass
@@ -31,8 +35,6 @@ class TrainerConfig:
     wd_first: float = 0.1
     wd_second: float = 0.0
     warmup_steps: int = 50
-    betas: tuple[float, float] = (0.9, 0.95)
-    adam_eps: float = 1e-8
     clip_norm: float = 1.0
     batch_size: int = 16
     seed: int = 0
@@ -84,19 +86,15 @@ class StepRecord:
 class TrainLog:
     records: list[StepRecord] = field(default_factory=list)
     divergence_step: int | None = None
-    stage_boundary: int | None = None
 
-    @property
-    def diverged(self) -> bool:
-        return self.divergence_step is not None
+    SMOOTHING_WINDOW = 100
 
-    def smoothed_loss(self, upto: int | None = None, window: int = 100) -> float:
+    def smoothed_loss(self) -> float:
+        """Mean of the last ``SMOOTHING_WINDOW`` finite losses."""
         losses = [r.loss for r in self.records if math.isfinite(r.loss)]
-        if upto is not None:
-            losses = [r.loss for r in self.records[:upto] if math.isfinite(r.loss)]
         if not losses:
             return float("nan")
-        return float(np.mean(losses[-window:]))
+        return float(np.mean(losses[-self.SMOOTHING_WINDOW:]))
 
 
 def _warm_cosine(step: int, warmup: int, span: int, peak: float, floor: float) -> float:
@@ -140,10 +138,8 @@ def adamw_update(
     state: OptimizerState,
     lr: float,
     wd: float,
-    betas: tuple[float, float],
-    eps: float,
 ) -> None:
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -154,7 +150,7 @@ def adamw_update(
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
         mhat = state.m[name] / (1.0 - b1**t)
         vhat = state.v[name] / (1.0 - b2**t)
-        p.value = p.value - lr * mhat / (np.sqrt(vhat) + eps) - lr * wd * p.value
+        p.value = p.value - lr * mhat / (np.sqrt(vhat) + ADAM_EPS) - lr * wd * p.value
 
 
 def train_step(
@@ -165,15 +161,18 @@ def train_step(
     step: int,
 ) -> tuple[float, float]:
     """One forward/backward/update. Returns (loss, pre-clip grad norm); a
-    non-finite loss or gradient norm skips the update, leaving the weights,
-    the moments and the optimizer step as they were, and is reported, not
+    non-finite loss or gradient norm, or a non-finite value reaching a
+    quantizer in the forward, skips the update, leaving the weights, the
+    moments and the optimizer step as they were, and is reported, not
     raised."""
     inputs, targets = batch
     params = model.named_parameters()
     for p in params.values():
         p.zero_grad()
-    logits = model_forward(model, inputs)
-    loss = ad.cross_entropy(logits, targets)
+    try:
+        loss = ad.cross_entropy(model_forward(model, inputs), targets)
+    except NonFiniteValueError:
+        return float("nan"), float("nan")
     loss_val = float(loss.value)
     if not math.isfinite(loss_val):
         return loss_val, float("nan")
@@ -187,28 +186,31 @@ def train_step(
             if p.grad is not None:
                 p.grad = p.grad * factor
     lr, wd = lr_schedule(step, config)
-    adamw_update(params, state, lr, wd, config.betas, config.adam_eps)
+    adamw_update(params, state, lr, wd)
     return loss_val, norm
 
 
 class DivergenceMonitor:
-    """Flags a run after 50 consecutive steps whose loss is non-finite or
-    above 10x the running median of recent finite losses."""
+    """Flags a run after ``PATIENCE`` consecutive steps whose loss is
+    non-finite or above ``FACTOR`` times the median of the last ``WINDOW``
+    finite losses."""
 
-    def __init__(self, patience: int = 50, factor: float = 10.0, window: int = 100):
-        self.patience = patience
-        self.factor = factor
-        self.recent = deque(maxlen=window)
+    PATIENCE = 50
+    FACTOR = 10.0
+    WINDOW = 100
+
+    def __init__(self):
+        self.recent = deque(maxlen=self.WINDOW)
         self.bad_streak = 0
 
     def update(self, loss: float) -> bool:
         bad = not math.isfinite(loss)
         if not bad and self.recent:
-            bad = loss > self.factor * float(np.median(self.recent))
+            bad = loss > self.FACTOR * float(np.median(self.recent))
         if math.isfinite(loss):
             self.recent.append(loss)
         self.bad_streak = self.bad_streak + 1 if bad else 0
-        return self.bad_streak >= self.patience
+        return self.bad_streak >= self.PATIENCE
 
 
 def run_two_stage(
@@ -218,7 +220,12 @@ def run_two_stage(
     on_boundary=None,
     on_record=None,
 ) -> TrainLog:
-    """Full training run; the stage switch reuses the optimizer moments."""
+    """Full training run; the stage switch reuses the optimizer moments.
+    Non-finite starting weights are bad input and raise; a run that goes
+    non-finite later is stopped by the divergence monitor."""
+    for name, p in model.named_parameters().items():
+        if not np.all(np.isfinite(p.value)):
+            raise NonFiniteValueError(f"parameter {name} is not finite before training")
     state = OptimizerState.init(model)
     log = TrainLog()
     s1 = config.stage1_steps
@@ -230,7 +237,6 @@ def run_two_stage(
     for step in range(config.total_steps):
         if config.single_stage is None and step == s1 and s1 > 0:
             configure_stage(model, Stage.STAGE2)
-            log.stage_boundary = step
             if on_boundary is not None:
                 on_boundary(model, state, step)
         loss, norm = train_step(model, next(stream), state, config, step)
@@ -317,7 +323,6 @@ def grad_check_ste(
     batch: tuple[np.ndarray, np.ndarray],
     samples_per_tensor: int = 25,
     tolerance: float = 1e-4,
-    fd_eps: float = 1e-5,
     seed: int = 0,
 ) -> GradCheckReport:
     """Verify the two halves of the gradient contract on a small model:
@@ -350,12 +355,12 @@ def grad_check_ste(
         worst_here = 0.0
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + fd_eps
+            flat[i] = orig + FD_EPS
             up = loss_value()
-            flat[i] = orig - fd_eps
+            flat[i] = orig - FD_EPS
             down = loss_value()
             flat[i] = orig
-            fd = (up - down) / (2.0 * fd_eps)
+            fd = (up - down) / (2.0 * FD_EPS)
             worst_here = max(worst_here, _relative_error(fd, float(analytic[name].reshape(-1)[i])))
             n_checked += 1
         per_param[name] = worst_here

@@ -22,7 +22,6 @@ from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
 from ternact.layers import (
     BitLinearLayer,
     KvCache,
-    RopeParams,
     Site,
     attention_forward,
     kv_fake_quant_values,
@@ -249,14 +248,13 @@ def test_07_kv_cache(report, toy_run, tmp_path):
         Var(rng.standard_normal((16, 16)) * 0.2),
         Site.ATTN_OUT, input_scheme=QuantScheme.int8(), k_fraction=0.5,
     )
-    rope = RopeParams(head_dim=8)
     x = rng.standard_normal((2, 5, 16))
     with ad.no_grad():
-        plain = attention_forward(Var(x), qkv, out, rope, n_heads=2).value
+        plain = attention_forward(Var(x), qkv, out, n_heads=2).value
         with_cache = attention_forward(
-            Var(x), qkv, out, rope, n_heads=2, kv_bits=8, cache=KvCache(kv_bits=8)
+            Var(x), qkv, out, n_heads=2, kv_bits=8, cache=KvCache(kv_bits=8)
         ).value
-        kv4 = attention_forward(Var(x), qkv, out, rope, n_heads=2, kv_bits=4).value
+        kv4 = attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=4).value
     identical8 = np.array_equal(plain, with_cache)
     kv4_live = not np.array_equal(plain, kv4)
 

@@ -221,6 +221,18 @@ class TestTrain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_forward_is_divergence(self, tmp_path):
+        # the weights blow past float64 range: the quantizers see inf, the
+        # steps report non-finite losses and the monitor ends the run
+        assert run_train(tmp_path, "--steps", "80", "--peak-lr", "1e100") == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert isinstance(manifest["diverged"], int)
+        assert (tmp_path / "diverged.marker").read_text() == f"step {manifest['diverged']}\n"
+        rows = (tmp_path / "log.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == manifest["diverged"] + 1
+        assert rows[-1].split(",")[4] == "nan"
+
     def test_unknown_ablation_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out-dir", str(tmp_path), "--ablation", "everything"])
@@ -352,3 +364,20 @@ class TestQuant:
             )
             == 1
         )
+
+
+@pytest.mark.parametrize("command", ["sparsity", "hist", "kv-eval", "quant", "quant-empty"])
+def test_bad_input_leaves_no_out_dir(tmp_path, capsys, command):
+    out = tmp_path / "x" / "out"
+    missing = str(tmp_path / "missing.ckpt")
+    argv = {
+        "sparsity": ["sparsity", "--checkpoint", missing],
+        "hist": ["hist", "--checkpoint", missing, "--site", "qkv"],
+        "kv-eval": ["kv-eval", "--checkpoint", missing],
+        "quant": ["quant", "--tensor", str(tmp_path / "missing.ba48"), "--scheme", "int8"],
+        "quant-empty": ["quant", "--tensor", str(tmp_path / "empty.ba48"), "--scheme", "int8"],
+    }[command]
+    save_tensor(tmp_path / "empty.ba48", np.zeros((0, 4)))
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()

@@ -9,18 +9,18 @@ from ternact.layers import (
     BitLinearLayer,
     KvCache,
     Probe,
-    RopeParams,
     Site,
     attention_forward,
     bitlinear_forward,
     causal_mask,
     ffn_forward,
+    kv_code_bits,
     kv_fake_quant_values,
     probing,
     relu2glu,
     relu2glu_gate_first,
 )
-from ternact.quantcore import QuantScheme, dequantize, quantize
+from ternact.quantcore import QuantScheme, dequantize, fake_quant, quantize
 from ternact.sparsify import measure_sparsity
 
 RNG = np.random.default_rng(2024)
@@ -174,18 +174,32 @@ class TestFfnForward:
 
 
 class TestRope:
-    def test_params_reject_odd_head_dim(self):
-        with pytest.raises(ValueError):
-            RopeParams(head_dim=5)
-
     def test_apply_on_arrays(self):
-        rp = RopeParams(head_dim=4)
         x = RNG.standard_normal((2, 3, 4))
         with ad.no_grad():
-            out = ad.rope(x, np.arange(3), rp.base).value
+            out = ad.rope(x, np.arange(3)).value
         before = x[..., 0::2] ** 2 + x[..., 1::2] ** 2
         after = out[..., 0::2] ** 2 + out[..., 1::2] ** 2
         np.testing.assert_allclose(after, before, rtol=1e-12)
+
+
+class TestKvCodeBits:
+    @pytest.mark.parametrize("kv_bits", [3, 4, 8])
+    def test_position_zero_keeps_four_bits_only_under_kv3(self, kv_bits):
+        assert kv_code_bits(0, kv_bits) == (4 if kv_bits == 3 else kv_bits)
+        assert [kv_code_bits(p, kv_bits) for p in (1, 2, 7)] == [kv_bits] * 3
+
+    @pytest.mark.parametrize("kv_bits", [3, 4])
+    def test_fake_quant_and_cache_store_at_the_rule_bits(self, kv_bits):
+        k = RNG.standard_normal((2, 4, 8))
+        cache = KvCache(kv_bits=kv_bits)
+        for position in range(3):
+            cache.append(k, k)
+            bits = kv_code_bits(position, kv_bits)
+            assert cache.stored_code_bits(position) == bits
+            assert cache._k[position].scheme == QuantScheme.unsigned(bits)
+            fq = kv_fake_quant_values(k[..., None, :], kv_bits, np.array([position]))
+            np.testing.assert_array_equal(fq[..., 0, :], fake_quant(k, QuantScheme.unsigned(bits)))
 
 
 class TestKvQuant:
@@ -221,12 +235,9 @@ class TestKvCache:
     def test_bits_validated(self):
         with pytest.raises(ValueError):
             KvCache(kv_bits=5)
-        with pytest.raises(ValueError):
-            KvCache(q_bits=8)
 
     def test_three_bit_cache_has_four_bit_bos(self):
         cache = KvCache(kv_bits=3)
-        assert cache.bos_bits == 4
         k = RNG.standard_normal((2, 4, 8))
         cache.append(k, k)
         cache.append(k, k)
@@ -266,55 +277,54 @@ class TestKvCache:
             KvCache().keys()
 
 
-def base_attention_setup(seed=0, hidden=16, heads=2, scheme=None):
+def base_attention_setup(seed=0, hidden=16, scheme=None):
     scheme = scheme or QuantScheme.int8()
     qkv = make_layer(3 * hidden, hidden, site=Site.QKV, scheme=scheme, seed=seed)
     out = make_layer(hidden, hidden, site=Site.ATTN_OUT, scheme=QuantScheme.int8(), seed=seed + 1)
-    rp = RopeParams(head_dim=hidden // heads)
-    return qkv, out, rp
+    return qkv, out
 
 
 class TestAttention:
     def test_output_shape(self):
-        qkv, out, rp = base_attention_setup()
+        qkv, out = base_attention_setup()
         x = RNG.standard_normal((2, 5, 16))
-        y = attention_forward(Var(x), qkv, out, rp, n_heads=2)
+        y = attention_forward(Var(x), qkv, out, n_heads=2)
         assert y.value.shape == (2, 5, 16)
 
     def test_kv8_identical_to_unquantized(self):
-        qkv, out, rp = base_attention_setup(seed=30)
+        qkv, out = base_attention_setup(seed=30)
         x = RNG.standard_normal((2, 5, 16))
         with ad.no_grad():
-            a = attention_forward(Var(x), qkv, out, rp, n_heads=2, kv_bits=8).value
-            b = attention_forward(Var(x), qkv, out, rp, n_heads=2).value
+            a = attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=8).value
+            b = attention_forward(Var(x), qkv, out, n_heads=2).value
         np.testing.assert_array_equal(a, b)
 
     def test_kv4_changes_but_stays_close(self):
-        qkv, out, rp = base_attention_setup(seed=31)
+        qkv, out = base_attention_setup(seed=31)
         x = RNG.standard_normal((2, 5, 16))
         with ad.no_grad():
-            a = attention_forward(Var(x), qkv, out, rp, n_heads=2, kv_bits=8).value
-            b = attention_forward(Var(x), qkv, out, rp, n_heads=2, kv_bits=4).value
+            a = attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=8).value
+            b = attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=4).value
         assert not np.array_equal(a, b)
         assert np.max(np.abs(a - b)) < 1.0
 
     def test_causality(self):
-        qkv, out, rp = base_attention_setup(seed=32)
+        qkv, out = base_attention_setup(seed=32)
         x = RNG.standard_normal((1, 6, 16))
         x2 = x.copy()
         x2[0, 4] += 3.0  # perturb position 4
         with ad.no_grad():
-            a = attention_forward(Var(x), qkv, out, rp, n_heads=2).value
-            b = attention_forward(Var(x2), qkv, out, rp, n_heads=2).value
+            a = attention_forward(Var(x), qkv, out, n_heads=2).value
+            b = attention_forward(Var(x2), qkv, out, n_heads=2).value
         np.testing.assert_array_equal(a[0, :4], b[0, :4])
         assert not np.array_equal(a[0, 4:], b[0, 4:])
 
     def test_single_position_softmax_is_identity(self):
         # one key: attention weight is 1, output = out-projection of V
-        qkv, out, rp = base_attention_setup(seed=33)
+        qkv, out = base_attention_setup(seed=33)
         x = RNG.standard_normal((1, 1, 16))
         with ad.no_grad():
-            y = attention_forward(Var(x), qkv, out, rp, n_heads=2).value
+            y = attention_forward(Var(x), qkv, out, n_heads=2).value
             qkv_out = bitlinear_forward(qkv, Var(x)).value
             v = qkv_out[..., 32:]
             v_heads = v.reshape(1, 1, 2, 8).transpose(0, 2, 1, 3)
@@ -323,40 +333,40 @@ class TestAttention:
         np.testing.assert_array_equal(y, expected)
 
     def test_attn_out_sparsity_recorded_with_topk(self):
-        qkv, out, rp = base_attention_setup(seed=34)
+        qkv, out = base_attention_setup(seed=34)
         out.k_fraction = 0.5
         x = RNG.standard_normal((2, 5, 16))
         with ad.no_grad(), probing(Probe()) as probe:
-            attention_forward(Var(x), qkv, out, rp, n_heads=2)
+            attention_forward(Var(x), qkv, out, n_heads=2)
         assert probe.sparsity[Site.ATTN_OUT][0] >= 0.5
 
     def test_cache_populated_during_forward(self):
-        qkv, out, rp = base_attention_setup(seed=35)
+        qkv, out = base_attention_setup(seed=35)
         cache = KvCache(kv_bits=4)
         x = RNG.standard_normal((1, 4, 16))
         with ad.no_grad():
-            attention_forward(Var(x), qkv, out, rp, n_heads=2, kv_bits=4, cache=cache)
+            attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=4, cache=cache)
         assert len(cache) == 4
         assert cache.keys().shape == (1, 2, 4, 8)
 
     def test_head_divisibility_checked(self):
-        qkv, out, rp = base_attention_setup(seed=36)
+        qkv, out = base_attention_setup(seed=36)
         x = RNG.standard_normal((1, 2, 16))
         with pytest.raises(ValueError):
-            attention_forward(Var(x), qkv, out, rp, n_heads=3)
+            attention_forward(Var(x), qkv, out, n_heads=3)
 
     @pytest.mark.parametrize("bits", [dict(kv_bits=5), dict(q_bits=8)])
     def test_bit_widths_checked(self, bits):
-        qkv, out, rp = base_attention_setup(seed=36)
+        qkv, out = base_attention_setup(seed=36)
         x = RNG.standard_normal((1, 2, 16))
         name, value = next(iter(bits.items()))
         with pytest.raises(ValueError, match=f"{name} must be one of .*, got {value}"):
-            attention_forward(Var(x), qkv, out, rp, n_heads=2, **bits)
+            attention_forward(Var(x), qkv, out, n_heads=2, **bits)
 
     def test_gradients_flow_to_all_weights(self):
-        qkv, out, rp = base_attention_setup(seed=37)
+        qkv, out = base_attention_setup(seed=37)
         x = Var(RNG.standard_normal((1, 4, 16)))
-        y = attention_forward(x, qkv, out, rp, n_heads=2, kv_bits=4, q_bits=4)
+        y = attention_forward(x, qkv, out, n_heads=2, kv_bits=4, q_bits=4)
         loss = ad.vsum(ad.mul(y, Var(RNG.standard_normal(y.value.shape))))
         loss.backward()
         assert qkv.latent_weights.grad is not None

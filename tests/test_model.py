@@ -52,6 +52,11 @@ class TestConfig:
     def test_stage_coerced_from_string(self):
         assert tiny_config(stage="stage2").stage is Stage.STAGE2
 
+    def test_odd_head_dim_rejected(self):
+        # the rotary embedding turns pairs of head channels
+        with pytest.raises(ValueError, match="head_dim must be even"):
+            tiny_config(hidden_size=10, n_heads=2)
+
 
 def closed_form_param_count(config: ModelConfig) -> int:
     """Non-embedding parameters:
@@ -72,14 +77,14 @@ class TestParameterCount:
 
     @pytest.mark.parametrize("cfg", [tiny_config(), tiny_config(n_layers=1, glu_size=40)])
     def test_model_matches_closed_form(self, cfg):
-        model = TransformerModel(cfg, seed=0)
-        assert model.num_parameters(non_embedding=True) == closed_form_param_count(cfg)
+        params = TransformerModel(cfg, seed=0).named_parameters()
+        non_embedding = sum(p.value.size for name, p in params.items() if name not in ("embedding", "head"))
+        assert non_embedding == closed_form_param_count(cfg)
 
     def test_full_count_adds_two_vocab_tables(self):
         cfg = tiny_config()
-        model = TransformerModel(cfg, seed=0)
-        full = model.num_parameters(non_embedding=False)
-        assert full - model.num_parameters() == 2 * cfg.vocab_size * cfg.hidden_size
+        full = sum(p.value.size for p in TransformerModel(cfg, seed=0).named_parameters().values())
+        assert full - closed_form_param_count(cfg) == 2 * cfg.vocab_size * cfg.hidden_size
 
     def test_named_parameter_keys(self):
         model = TransformerModel(tiny_config(), seed=0)

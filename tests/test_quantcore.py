@@ -8,59 +8,62 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quant_properties import run_suite
 from ternact.quantcore import (
     EPS,
     E2M1_GRID,
     Granularity,
+    NonFiniteValueError,
     QuantScheme,
     SchemeKind,
     SQRT7,
     dequantize,
     fake_quant,
     quantize,
-    round_clip,
 )
 
 
+# gamma + EPS == 127 exactly, so per-tensor int8 codes are round(x)
+UNIT_INT8_MAX = 127.0 - EPS
+
+
 class TestRoundClip:
+    """``quantize`` rounds half away from zero, then clips into the
+    scheme's code range."""
+
     def test_clip_to_upper_bound(self):
-        assert round_clip(2.6, -1, 1) == 1.0
+        # ORACLE: beta = 10/4, sqrt(7) * 10 / beta = 10.58 -> clipped to 7
+        q = quantize([10.0, 0.0, 0.0, 0.0], QuantScheme.int4())
+        assert np.array_equal(q.codes, [7, 0, 0, 0])
 
     def test_zero_fixed_point(self):
-        assert round_clip(0.0, -128, 127) == 0.0
+        for scheme in (QuantScheme.ternary(), QuantScheme.int8(), QuantScheme.int4(), QuantScheme.fp4()):
+            assert np.all(quantize(np.zeros((2, 4)), scheme).codes == 0)
 
     def test_round_within_range(self):
-        assert round_clip(-3.7, -8, 7) == -4.0
+        q = quantize([-3.7, UNIT_INT8_MAX], QuantScheme.int8(Granularity.PER_TENSOR))
+        assert np.array_equal(q.codes, [-4, 127])
 
     def test_half_away_from_zero(self):
-        # numpy's default banker's rounding would give [0, 2, -0, -2]
-        out = round_clip([0.5, 1.5, -0.5, -1.5], -8, 7)
-        assert np.array_equal(out, [1.0, 2.0, -1.0, -2.0])
+        # numpy's default banker's rounding would give [0, 2, 2, -0, -2]
+        x = [0.5, 1.5, 2.5, -0.5, -2.5, UNIT_INT8_MAX]
+        q = quantize(x, QuantScheme.int8(Granularity.PER_TENSOR))
+        assert np.array_equal(q.codes, [1, 2, 3, -1, -3, 127])
 
     def test_elementwise(self):
-        out = round_clip([[2.6, -0.4], [9.0, -9.0]], -8, 7)
-        assert np.array_equal(out, [[3.0, 0.0], [7.0, -8.0]])
+        x = [[2.6, -0.4], [9.0, -UNIT_INT8_MAX]]
+        q = quantize(x, QuantScheme.int8(Granularity.PER_TENSOR))
+        assert np.array_equal(q.codes, [[3, 0], [9, -127]])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            round_clip([1.0, np.nan], -1, 1)
-        with pytest.raises(ValueError):
-            round_clip([np.inf], -1, 1)
-
-    def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
-            round_clip(0.0, 1, -1)
-
-    @given(st.floats(-1e9, 1e9), st.integers(-100, 0), st.integers(0, 100))
-    @settings(max_examples=200, deadline=None)
-    def test_integer_valued_in_range(self, x, a, b):
-        out = float(round_clip(x, a, b))
-        assert a <= out <= b
-        assert out == int(out)
+        for scheme in (QuantScheme.int8(), QuantScheme.ternary(), QuantScheme.unsigned(3)):
+            with pytest.raises(NonFiniteValueError):
+                quantize([1.0, np.nan], scheme)
+            with pytest.raises(NonFiniteValueError):
+                quantize([np.inf], scheme)
+            with pytest.raises(NonFiniteValueError):
+                fake_quant([-np.inf, 0.0], scheme)
 
 
 class TestTernary:

@@ -10,7 +10,7 @@ import pytest
 from ternact import autodiff as ad
 from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
 from ternact.model import ModelConfig, Stage, TransformerModel, model_forward
-from ternact.quantcore import QuantScheme, SchemeKind, fake_quant
+from ternact.quantcore import NonFiniteValueError, QuantScheme, SchemeKind, fake_quant
 from ternact.sparsify import topk_mask
 from ternact.train import (
     BITLINEAR_INPUTS,
@@ -114,7 +114,7 @@ class TestAdamW:
         p = ad.Var(np.array([2.0]))
         p.grad = np.array([0.5])
         state = OptimizerState(m={"p": np.zeros(1)}, v={"p": np.zeros(1)})
-        adamw_update({"p": p}, state, lr=0.1, wd=0.1, betas=(0.9, 0.95), eps=1e-8)
+        adamw_update({"p": p}, state, lr=0.1, wd=0.1)
         m = 0.1 * 0.5
         v = 0.05 * 0.25
         mhat = m / (1 - 0.9)
@@ -130,7 +130,7 @@ class TestAdamW:
         state = OptimizerState(m={"p": np.zeros(1)}, v={"p": np.zeros(1)})
         for _ in range(2):
             p.grad = np.array([0.5])
-            adamw_update({"p": p}, state, lr=0.1, wd=0.0, betas=(0.9, 0.95), eps=1e-8)
+            adamw_update({"p": p}, state, lr=0.1, wd=0.0)
         assert state.step == 2
         # constant gradient: both bias-corrected moments equal the raw values
         assert state.m["p"][0] / (1 - 0.9**2) == pytest.approx(0.5, rel=1e-12)
@@ -142,13 +142,13 @@ class TestAdamW:
         p.grad = np.zeros(2)
         state = OptimizerState(m={"p": np.zeros(2)}, v={"p": np.zeros(2)})
         orig = p.value.copy()
-        adamw_update({"p": p}, state, lr=0.01, wd=0.1, betas=(0.9, 0.95), eps=1e-8)
+        adamw_update({"p": p}, state, lr=0.01, wd=0.1)
         np.testing.assert_array_equal(p.value, orig - 0.01 * 0.1 * orig)
 
     def test_param_without_grad_is_skipped(self):
         p = ad.Var(np.array([1.0]))
         state = OptimizerState(m={"p": np.zeros(1)}, v={"p": np.zeros(1)})
-        adamw_update({"p": p}, state, lr=0.1, wd=0.1, betas=(0.9, 0.95), eps=1e-8)
+        adamw_update({"p": p}, state, lr=0.1, wd=0.1)
         assert p.value[0] == 1.0
         assert state.m["p"][0] == 0.0
 
@@ -244,6 +244,53 @@ class TestTrainStep:
         assert state.step == 0
 
 
+class TestNonFiniteForward:
+    """A non-finite latent weight makes a quantizer in the forward refuse its
+    input; the step reports a non-finite loss instead of raising."""
+
+    @staticmethod
+    def inf_weight_model() -> TransformerModel:
+        model = tiny_model()
+        model.blocks[0].qkv.latent_weights.value[0, 0] = np.inf
+        return model
+
+    def test_step_reports_and_leaves_state_untouched(self):
+        model = tiny_model()
+        stream = tiny_stream()
+        state = OptimizerState.init(model)
+        cfg = TrainerConfig(total_steps=10)
+        train_step(model, next(stream), state, cfg, step=0)  # live moments
+        model.blocks[0].qkv.latent_weights.value[0, 0] = np.inf
+        params = {k: p.value.copy() for k, p in model.named_parameters().items()}
+        moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in state.m}
+        loss, norm = train_step(model, next(stream), state, cfg, step=1)
+        assert not math.isfinite(loss)
+        assert not math.isfinite(norm)
+        for name, p in model.named_parameters().items():
+            np.testing.assert_array_equal(p.value, params[name])
+            np.testing.assert_array_equal(state.m[name], moments[name][0])
+            np.testing.assert_array_equal(state.v[name], moments[name][1])
+        assert state.step == 1
+
+    def test_run_rejects_non_finite_starting_weights(self):
+        # a model handed in non-finite is bad input, not a divergence
+        cfg = TrainerConfig(total_steps=60, warmup_steps=2, batch_size=2, single_stage=Stage.STAGE1)
+        with pytest.raises(NonFiniteValueError, match="blocks.0.qkv"):
+            run_two_stage(self.inf_weight_model(), tiny_stream(), cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_run_whose_forward_overflows_diverges(self):
+        # the first update takes the weights to ~1e100; every later forward
+        # overflows and hands a quantizer non-finite values, so it is skipped
+        cfg = TrainerConfig(total_steps=80, warmup_steps=2, batch_size=2, peak_lr=1e100)
+        model = tiny_model()
+        log = run_two_stage(model, tiny_stream(), cfg)
+        assert log.divergence_step == DivergenceMonitor.PATIENCE
+        assert math.isfinite(log.records[0].loss)
+        assert all(math.isnan(r.loss) for r in log.records[1:])
+        assert all(np.all(np.isfinite(p.value)) for p in model.named_parameters().values())
+
+
 def overflowing_model() -> TransformerModel:
     """A finite model whose loss stays finite but whose gradient norm is
     not: the huge embedding column overflows in the rmsnorm adjoint."""
@@ -324,13 +371,13 @@ class TestRunTwoStage:
         log = run_two_stage(model, tiny_stream(seed=7), cfg, on_boundary=on_boundary)
         assert len(log.records) == 8
         assert [r.stage for r in log.records] == ["stage1"] * 6 + ["stage2"] * 2
-        assert log.stage_boundary == 6
+        assert [r.stage for r in log.records].index("stage2") == 6
         assert seen["step"] == 6
         assert seen["stage"] is Stage.STAGE2
         assert seen["moments_live"], "optimizer moments must carry over the boundary"
         assert model.config.stage is Stage.STAGE2
         assert all(math.isfinite(r.loss) for r in log.records)
-        assert not log.diverged
+        assert log.divergence_step is None
         for r in log.records:
             lr, wd = lr_schedule(r.step, cfg)
             assert r.lr == lr and r.wd == wd
@@ -342,7 +389,6 @@ class TestRunTwoStage:
         )
         log = run_two_stage(model, tiny_stream(seed=7), cfg)
         assert [r.stage for r in log.records] == ["stage2"] * 4
-        assert log.stage_boundary is None
 
     def test_bit_exact_reproducibility(self):
         cfg = TrainerConfig(total_steps=6, stage_split=0.67, warmup_steps=2, batch_size=2)
@@ -360,9 +406,12 @@ class TestRunTwoStage:
             np.testing.assert_array_equal(w_a[k], w_b[k])
 
     def test_smoothed_loss_window(self):
-        log = TrainLog(records=[StepRecord(i, "stage1", 0.0, 0.0, float(i), 1.0) for i in range(10)])
-        assert log.smoothed_loss(window=4) == pytest.approx(np.mean([6, 7, 8, 9]))
-        assert log.smoothed_loss(upto=5, window=4) == pytest.approx(np.mean([1, 2, 3, 4]))
+        # the mean of the last 100 finite losses; non-finite ones are skipped
+        losses = [float(i) for i in range(150)] + [float("nan")] * 3
+        log = TrainLog(records=[StepRecord(i, "stage1", 0.0, 0.0, x, 1.0) for i, x in enumerate(losses)])
+        assert TrainLog.SMOOTHING_WINDOW == 100
+        assert log.smoothed_loss() == pytest.approx(np.mean(np.arange(50, 150)))
+        assert math.isnan(TrainLog().smoothed_loss())
 
 
 class TestGradCheck:
