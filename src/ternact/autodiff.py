@@ -46,6 +46,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record onto the tape (False inside ``no_grad``)."""
+    return _GRAD_ENABLED
+
+
 class MissingTraceError(RuntimeError):
     """backward() was called on a value with no recorded forward trace."""
 

@@ -284,19 +284,34 @@ def cmd_train(cfg: dict, args) -> int:
     rows: list[str] = []
     diverged_step = None
     if trainer is not None:
+        refused: list[ValueError] = []
+
+        def checkpoint(name, m, step):
+            # weights past f32's range are refused; a run that diverges goes
+            # on without the file, any other run fails once it ends
+            try:
+                save_checkpoint(out / name, m, extra={"step": step, **data_extra})
+            except ValueError as e:
+                print(f"{name} not written: {e}")
+                refused.append(e)
+                return
+            artifacts.append(out / name)
 
         def on_boundary(m, state, step):
-            save_checkpoint(out / "boundary.ckpt", m, extra={"step": step, **data_extra})
-            artifacts.append(out / "boundary.ckpt")
+            checkpoint("boundary.ckpt", m, step)
 
         def on_record(r):
             rows.append(f"{r.step},{r.stage},{r.lr!r},{r.wd!r},{r.loss!r},{r.grad_norm!r}")
 
         log = run_two_stage(model, stream, trainer, on_boundary=on_boundary, on_record=on_record)
         diverged_step = log.divergence_step
-        save_checkpoint(out / "final.ckpt", model, extra={"step": len(log.records), **data_extra})
-        artifacts.append(out / "final.ckpt")
-        print(f"trained {len(log.records)} steps; smoothed loss {log.smoothed_loss():.4f}")
+        checkpoint("final.ckpt", model, len(log.records))
+        if refused and diverged_step is None:
+            raise refused[0]
+        if diverged_step is None:
+            print(f"trained {len(log.records)} steps; smoothed loss {log.smoothed_loss():.4f}")
+        else:
+            print(f"trained {len(log.records)} steps; divergence detected at step {diverged_step}")
     else:
         print("0 steps requested; wrote the initial checkpoint only")
 
@@ -305,7 +320,6 @@ def cmd_train(cfg: dict, args) -> int:
         marker = out / "diverged.marker"
         marker.write_text(f"step {diverged_step}\n")
         artifacts.append(marker)
-        print(f"divergence detected at step {diverged_step}")
     _write_manifest(out, "train", cfg, artifacts, diverged=diverged_step)
     if diverged_step is not None and not cfg["divergence_expected"]:
         return 3

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .quantcore import QuantScheme, dequantize, fake_quant, quantize
+from .quantcore import QuantScheme, codes_and_scales, fake_quant, unsigned_values
 from .sparsify import gate_active_channels, measure_sparsity
 
 VALID_KV_BITS = (3, 4, 8)
@@ -181,71 +181,112 @@ def kv_code_bits(position: int, kv_bits: int) -> int:
     return 4 if position == 0 and kv_bits == 3 else kv_bits
 
 
-def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> np.ndarray:
-    """Fake-quantize (..., T, head_dim) per head per position at
-    ``kv_code_bits`` (kv_bits=8 is raw, so the caller should not get here)."""
+def kv_levels(positions: np.ndarray, kv_bits: int) -> np.ndarray:
+    """Level count 2^bits - 1 of each absolute position at ``kv_code_bits``,
+    shaped (T, 1) to broadcast against (..., T, head_dim) codes."""
+    bos = np.asarray(positions) == 0
+    return np.where(bos, 2.0 ** kv_code_bits(0, kv_bits) - 1.0, 2.0**kv_bits - 1.0)[:, None]
+
+
+def kv_codes(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize (..., T, head_dim) K or V heads at absolute ``positions``,
+    each position at ``kv_code_bits``, per head per position.
+
+    Returns the codes and the scales as (..., T, 1); with ``kv_levels`` they
+    dequantize through ``unsigned_values``. The attention fake-quant and the
+    cache store both quantize through here. kv_bits=8 is raw, so the caller
+    should not get here.
+    """
     if kv_bits not in (3, 4):
         raise ValueError(f"kv fake-quant expects 3 or 4 bits, got {kv_bits}")
-    out = fake_quant(values, QuantScheme.unsigned(kv_bits))
+    codes, scales = codes_and_scales(values, QuantScheme.unsigned(kv_bits))
     bos_bits = kv_code_bits(0, kv_bits)
     bos = np.asarray(positions) == 0
     if bos_bits != kv_bits and bos.any():
-        out[..., bos, :] = fake_quant(values[..., bos, :], QuantScheme.unsigned(bos_bits))
-    return out
+        codes[..., bos, :], scales[..., bos] = codes_and_scales(
+            values[..., bos, :], QuantScheme.unsigned(bos_bits)
+        )
+    return codes, scales[..., None]
+
+
+def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> np.ndarray:
+    """Fake-quantize (..., T, head_dim) per head per position at
+    ``kv_code_bits`` (see ``kv_codes``)."""
+    return unsigned_values(*kv_codes(values, kv_bits, positions), kv_levels(positions, kv_bits))
 
 
 class KvCache:
-    """Append-only per-position store of quantized K/V heads.
+    """Append-only store of quantized K/V heads, read back whole by attention
+    during incremental decode.
 
-    Single writer appends; readers may hold any prefix snapshot. Scales are
-    kept per head per position. kv_bits=8 disables quantization and stores
-    raw values.
+    K and V are stacked in one array, (2, ..., n_heads, len, head_dim), of
+    uint8 codes beside one scale per head per position; kv_bits=8 disables
+    quantization and stores raw values. A read dequantizes the whole stored
+    prefix in one call, each position at ``kv_code_bits``. Appending
+    quantizes what it is given, so K/V that already went through
+    ``kv_fake_quant_values`` at the same positions read back bit-equal
+    (unsigned fake-quant is idempotent).
     """
 
     def __init__(self, kv_bits: int = 8):
         if kv_bits not in VALID_KV_BITS:
             raise ValueError(f"kv_bits must be one of {VALID_KV_BITS}, got {kv_bits}")
         self.kv_bits = kv_bits
-        self._k: list = []
-        self._v: list = []
+        self._kv: np.ndarray | None = None
+        self._scales: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._k)
+        return 0 if self._kv is None else self._kv.shape[-2]
 
     def append(self, k_heads: np.ndarray, v_heads: np.ndarray) -> None:
         """Store one position's (..., n_heads, head_dim) K and V."""
-        if k_heads.shape != v_heads.shape:
-            raise ValueError("K and V head shapes differ")
-        if self.kv_bits == 8:
-            self._k.append(np.array(k_heads, dtype=np.float64))
-            self._v.append(np.array(v_heads, dtype=np.float64))
-            return
-        scheme = QuantScheme.unsigned(kv_code_bits(len(self._k), self.kv_bits))
-        self._k.append(quantize(k_heads, scheme))
-        self._v.append(quantize(v_heads, scheme))
+        self.extend(np.asarray(k_heads)[..., None, :], np.asarray(v_heads)[..., None, :])
 
-    def _gather(self, store: list) -> np.ndarray:
-        if not store:
+    def extend(self, k: np.ndarray, v: np.ndarray) -> None:
+        """Store (..., n_heads, T, head_dim) K and V at the next T positions."""
+        k, v = np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64)
+        if k.shape != v.shape:
+            raise ValueError("K and V head shapes differ")
+        if self._kv is not None and k.shape[:-2] + k.shape[-1:] != self._kv.shape[1:-2] + self._kv.shape[-1:]:
+            raise ValueError(f"heads of shape {k.shape} do not match the cached {self._kv.shape[1:]}")
+        kv = np.stack((k, v))
+        if self.kv_bits != 8:
+            codes, scales = kv_codes(kv, self.kv_bits, np.arange(len(self), len(self) + k.shape[-2]))
+            kv = codes.astype(np.uint8)
+            self._scales = scales if self._scales is None else np.concatenate((self._scales, scales), axis=-2)
+        self._kv = kv if self._kv is None else np.concatenate((self._kv, kv), axis=-2)
+        # reads at kv8 are views: a new array per extend keeps them snapshots
+        self._kv.flags.writeable = False
+
+    def _read(self, i: int) -> np.ndarray:
+        if self._kv is None:
             raise ValueError("empty cache")
         if self.kv_bits == 8:
-            return np.stack(store, axis=-2)
-        return np.stack([dequantize(q) for q in store], axis=-2)
+            return self._kv[i]
+        return unsigned_values(self._kv[i], self._scales[i], kv_levels(np.arange(len(self)), self.kv_bits))
 
     def keys(self) -> np.ndarray:
-        """Dequantized keys, shape (..., n_heads, T, head_dim)."""
-        return self._gather(self._k)
+        """Dequantized keys, shape (..., n_heads, T, head_dim); at kv_bits=8
+        a read-only view of the stored values."""
+        return self._read(0)
 
     def values(self) -> np.ndarray:
-        return self._gather(self._v)
+        """Dequantized values, as ``keys``."""
+        return self._read(1)
 
     def stored_code_bits(self, position: int) -> int:
-        """Bits actually used for a stored position (inspection hook)."""
+        """Bits the entries stored at ``position`` were quantized with; 8
+        means raw."""
+        if not 0 <= position < len(self):
+            raise IndexError(f"position {position} is not stored (length {len(self)})")
         return kv_code_bits(position, self.kv_bits)
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """Additive mask: 0 on and below the diagonal, a large negative above."""
-    return np.triu(np.full((t, t), -1e30), k=1)
+def causal_mask(t: int, past: int = 0) -> np.ndarray:
+    """Additive (t, past + t) mask for t queries that follow ``past`` cached
+    positions: 0 where the key is not later than the query, a large negative
+    elsewhere."""
+    return np.triu(np.full((t, past + t), -1e30), k=past + 1)
 
 
 def attention_forward(
@@ -255,22 +296,29 @@ def attention_forward(
     n_heads: int,
     kv_bits: int = 8,
     q_bits: int = 16,
-    positions: np.ndarray | None = None,
     cache: KvCache | None = None,
 ) -> Var:
     """Causal multi-head attention with quantized projections and
-    post-rotation K/V treatment. When a cache is given, the current K/V heads
-    are appended to it position by position (and attention still runs over
-    the in-call sequence; cache replay for incremental decode goes through
-    the cache's own accessors)."""
+    post-rotation K/V treatment.
+
+    With a ``cache`` (inference only), x holds the positions that follow the
+    cached ones: they rotate at their absolute positions, their fake-quantized
+    K/V are appended to the cache, and attention reads every key and value
+    back from the stored codes, so a decode step computes one position."""
     x = ad.as_var(x)
     b, t, h = x.value.shape
     if h % n_heads != 0:
         raise ValueError(f"hidden size {h} not divisible by {n_heads} heads")
     hd = h // n_heads
     check_bit_widths(kv_bits, q_bits)
-    if positions is None:
-        positions = np.arange(t)
+    past = 0
+    if cache is not None:
+        if ad.grad_enabled():
+            raise ValueError("a KV cache serves inference only; run the forward under no_grad")
+        if cache.kv_bits != kv_bits:
+            raise ValueError(f"cache stores kv_bits={cache.kv_bits}, attention runs at {kv_bits}")
+        past = len(cache)
+    positions = np.arange(past, past + t)
 
     qkv = bitlinear_forward(qkv_layer, x)
     q, k, v = ad.split_last(qkv, (h, h, h))
@@ -289,12 +337,11 @@ def attention_forward(
         v = ad.fake_quant_ste(v, lambda z: kv_fake_quant_values(z, kv_bits, positions))
 
     if cache is not None:
-        for pos in range(t):
-            cache.append(k.value[..., pos, :], v.value[..., pos, :])
+        cache.extend(k.value, v.value)
+        k, v = Var(cache.keys()), Var(cache.values())
 
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    scores = ad.add_const(scores, causal_mask(t))
+    scores = ad.add_const(scores, causal_mask(t, past))
     attn = ad.softmax(scores)
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, t, h))
     return bitlinear_forward(out_layer, ctx)
-

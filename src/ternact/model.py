@@ -23,6 +23,7 @@ from . import autodiff as ad
 from .autodiff import Var
 from .layers import (
     BitLinearLayer,
+    KvCache,
     Site,
     attention_forward,
     check_bit_widths,
@@ -196,16 +197,26 @@ def configure_identity(model: TransformerModel) -> TransformerModel:
     return model
 
 
-def model_forward(model: TransformerModel, tokens: np.ndarray) -> Var:
-    """Logits over the vocabulary, shape (batch, len, vocab)."""
+def model_forward(model: TransformerModel, tokens: np.ndarray, caches: list[KvCache] | None = None) -> Var:
+    """Logits over the vocabulary, shape (batch, len, vocab).
+
+    With ``caches``, one ``KvCache`` per block, ``tokens`` continue the
+    positions the caches hold, and attention reads the earlier positions
+    from them (inference only, see ``attention_forward``)."""
     cfg = model.config
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ValueError("tokens must be (batch, len)")
-    if tokens.shape[1] > cfg.seq_len:
-        raise ValueError(f"sequence length {tokens.shape[1]} exceeds seq_len {cfg.seq_len}")
+    if caches is None:
+        caches, past = [None] * len(model.blocks), 0
+    elif len(caches) != len(model.blocks):
+        raise ValueError(f"need one KV cache per block ({len(model.blocks)}), got {len(caches)}")
+    else:
+        past = len(caches[0])
+    if past + tokens.shape[1] > cfg.seq_len:
+        raise ValueError(f"sequence length {past + tokens.shape[1]} exceeds seq_len {cfg.seq_len}")
     x = ad.embedding(model.embedding, tokens)
-    for blk in model.blocks:
+    for blk, cache in zip(model.blocks, caches):
         attn = attention_forward(
             ad.rmsnorm(x, blk.attn_norm),
             blk.qkv,
@@ -213,6 +224,7 @@ def model_forward(model: TransformerModel, tokens: np.ndarray) -> Var:
             cfg.n_heads,
             kv_bits=cfg.kv_bits,
             q_bits=cfg.q_bits,
+            cache=cache,
         )
         x = ad.add(x, attn)
         ffn = ffn_forward(
@@ -228,12 +240,21 @@ def model_forward(model: TransformerModel, tokens: np.ndarray) -> Var:
 
 
 def greedy_decode(model: TransformerModel, prompt: np.ndarray, n_new: int) -> np.ndarray:
-    """Extend each prompt row with argmax continuations (smoke-test helper)."""
-    tokens = np.asarray(prompt)
-    for _ in range(n_new):
-        with ad.no_grad():
-            logits = model_forward(model, tokens[:, -model.config.seq_len:])
-        nxt = np.argmax(logits.value[:, -1, :], axis=-1)
-        tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
-    return tokens
+    """Extend each prompt row with ``n_new`` argmax continuations.
 
+    The prompt fills one KV cache per block, then each step feeds only the
+    token it just chose, so a token costs one position per layer. When the
+    caches hold seq_len positions, the next step starts fresh caches on the
+    last seq_len tokens, which is a full forward over that window."""
+    cfg = model.config
+    tokens = np.asarray(prompt)
+    caches: list[KvCache] = []
+    with ad.no_grad():
+        for _ in range(n_new):
+            if not caches or len(caches[0]) == cfg.seq_len:
+                caches = [KvCache(cfg.kv_bits) for _ in model.blocks]
+                feed = tokens[:, -cfg.seq_len:]
+            logits = model_forward(model, feed, caches)
+            feed = np.argmax(logits.value[:, -1, :], axis=-1)[:, None]
+            tokens = np.concatenate([tokens, feed], axis=1)
+    return tokens

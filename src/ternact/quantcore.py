@@ -19,6 +19,20 @@ EPS = 1e-6
 
 SQRT7 = math.sqrt(7.0)
 
+# The unsigned quantizer rounds the ratio t = x / max|x| to this grid of
+# 2^-32 steps before choosing a level. A projection output is an integer code
+# sum times a row scale, so t is a ratio p/q of two integers computed to
+# within a few ulps, and where p/q sits exactly on a level boundary the last
+# ulp (which can depend on how many rows were computed together) would pick
+# the side. Snapped, t is decided by p/q itself: for q < 2^33, p/q lies at
+# least 2^-33/q from a grid midpoint (7e-15 for the largest code sums a
+# projection here produces, 2^14) against a few 1e-16 of error in t. A grid
+# point times 2^bits - 1 is exact in float64 (|t| <= 1, so 33 + 4 bits), so
+# the level rounding sees the snapped ratio unchanged. The snap moves t by at
+# most 2^-33: a code can differ from unsnapped rounding only that close to a
+# boundary.
+TIE_GRID = 2.0**32
+
 # Nonnegative magnitudes representable in E2M1, up to the group scale.
 E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
 _E2M1_MIDPOINTS = (E2M1_GRID[:-1] + E2M1_GRID[1:]) / 2.0
@@ -169,13 +183,21 @@ def codes_and_scales(x, scheme: QuantScheme) -> tuple[np.ndarray, np.ndarray]:
         return _fp4_codes(arr, scheme.granularity)
     if kind is SchemeKind.UNSIGNED_ABSMAX:
         gamma = _group_absmax(arr, scheme.granularity)
-        # The stated error bound gamma/(2^bits - 1) leaves no slack for an
-        # epsilon in the divisor, so zero groups are guarded explicitly.
+        # The error bound is gamma/(2^bits - 1) plus the tie grid's
+        # 2^-33 * gamma (an entry that close to a level boundary may take the
+        # farther level). That leaves no room for an epsilon in the divisor,
+        # so zero groups are guarded explicitly.
         safe = np.where(gamma > 0.0, gamma, 1.0)
-        t = arr / _expand(safe, scheme.granularity)
-        levels = float(2**scheme.bits - 1)
-        codes = np.clip(_round_half_away((t + 1.0) / 2.0 * levels), 0, levels)
-        return codes, gamma
+        # t = x / gamma on the tie grid, counted in grid steps: an integer
+        # in [-TIE_GRID, TIE_GRID]
+        steps = arr / _expand(safe, scheme.granularity)
+        steps *= TIE_GRID
+        np.rint(steps, out=steps)
+        # (t + 1) / 2 * levels, exact and in [0, levels], then rounded half up
+        steps += TIE_GRID
+        steps *= float(2**scheme.bits - 1) / (2.0 * TIE_GRID)
+        steps += 0.5
+        return np.floor(steps, out=steps), gamma
     raise ValueError(f"unknown scheme kind: {kind}")
 
 
@@ -214,9 +236,15 @@ def values_from_codes(codes: np.ndarray, scales: np.ndarray, scheme: QuantScheme
     if kind is SchemeKind.FP4_MINMAX:
         return np.sign(c) * E2M1_GRID[np.abs(c).astype(np.int64)] * s
     if kind is SchemeKind.UNSIGNED_ABSMAX:
-        levels = float(2**scheme.bits - 1)
-        return (2.0 * (c / levels) - 1.0) * s
+        return unsigned_values(c, s, float(2**scheme.bits - 1))
     raise ValueError(f"unknown scheme kind: {kind}")
+
+
+def unsigned_values(codes: np.ndarray, scales: np.ndarray, levels) -> np.ndarray:
+    """The unsigned dequantizer: codes in [0, levels] onto [-scale, scale].
+    ``scales`` and ``levels`` broadcast against ``codes``, so a KV cache can
+    read positions stored at different bit widths in one call."""
+    return (2.0 * (codes / levels) - 1.0) * scales
 
 
 def code_dtype(scheme: QuantScheme) -> np.dtype:

@@ -8,7 +8,8 @@ per entry (i8, or u8 for the unsigned family; sub-byte packing is out of
 scope). Checkpoints are a ``BA48CKPT1`` magic, a length-prefixed JSON header
 carrying the model configuration and parameter order, and one dense block
 per parameter in that order. Values are stored as f32, so loading widens
-back to f64 but does not recover bits beyond f32.
+back to f64 but does not recover bits beyond f32; a checkpoint with a
+parameter that is not finite in f32 is refused.
 """
 
 from __future__ import annotations
@@ -161,8 +162,16 @@ def _config_to_dict(config: ModelConfig) -> dict:
 
 def save_checkpoint(path, model: TransformerModel, extra: dict | None = None) -> None:
     """Write the model configuration plus every named parameter. ``extra``
-    must be JSON-serializable; it rides along in the header."""
+    must be JSON-serializable; it rides along in the header.
+
+    Raises ValueError, before anything is written, naming the first
+    parameter that is not finite once stored as f32."""
     params = model.named_parameters()
+    for name, p in params.items():
+        with np.errstate(over="ignore"):  # past f32's range is inf, reported below
+            finite = np.all(np.isfinite(p.value.astype(np.float32)))
+        if not finite:
+            raise ValueError(f"parameter {name} is not finite in f32; checkpoint not written")
     header = {
         "format": 1,
         "model_config": _config_to_dict(model.config),

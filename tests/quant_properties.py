@@ -136,9 +136,11 @@ def check_error_bounds(batches: list[np.ndarray]) -> list[str]:
         for bits in (3, 4):
             qu = quantize(rows, QuantScheme.unsigned(bits))
             erru = np.abs(rows - dequantize(qu))
-            boundu = qu.scales[..., None] / (2**bits - 1)
+            # the tie grid may round an entry within 2^-33 of a level
+            # boundary to the farther level
+            boundu = qu.scales[..., None] * (1.0 / (2**bits - 1) + 2.0**-33)
             if not np.all(erru <= boundu):
-                bad.append(f"unsigned{bits} error above gamma/(2^{bits}-1)")
+                bad.append(f"unsigned{bits} error above gamma/(2^{bits}-1) + 2^-33 gamma")
     return bad
 
 

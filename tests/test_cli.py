@@ -222,7 +222,7 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-    def test_non_finite_forward_is_divergence(self, tmp_path):
+    def test_non_finite_forward_is_divergence(self, tmp_path, capsys):
         # the weights blow past float64 range: the quantizers see inf, the
         # steps report non-finite losses and the monitor ends the run
         assert run_train(tmp_path, "--steps", "80", "--peak-lr", "1e100") == 3
@@ -232,6 +232,40 @@ class TestTrain:
         rows = (tmp_path / "log.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == manifest["diverged"] + 1
         assert rows[-1].split(",")[4] == "nan"
+        # the run reports where it diverged, not the mean loss from before
+        out = capsys.readouterr().out
+        assert f"trained {len(rows)} steps; divergence detected at step {manifest['diverged']}\n" in out
+        assert "smoothed loss" not in out
+        # weights past f32's range leave no final.ckpt, and the manifest
+        # lists only what was written
+        assert "final.ckpt not written: parameter embedding is not finite in f32" in out
+        assert not (tmp_path / "final.ckpt").exists()
+        assert set(manifest["artifacts"]) == {"init.ckpt", "log.csv", "diverged.marker"}
+        assert {p.name for p in tmp_path.iterdir()} == {*manifest["artifacts"], "manifest.json"}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_boundary_past_f32_before_divergence_still_diverges(self, tmp_path, capsys):
+        # the stage boundary (step 40) falls after the weights pass f32's
+        # range and before the monitor ends the run (step 50)
+        assert run_train(tmp_path, "--steps", "80", "--peak-lr", "1e100", "--stage-split", "0.5") == 3
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (tmp_path / "diverged.marker").read_text() == f"step {manifest['diverged']}\n"
+        assert manifest["diverged"] > 40
+        out = capsys.readouterr().out
+        assert "boundary.ckpt not written: parameter embedding is not finite in f32" in out
+        assert not (tmp_path / "boundary.ckpt").exists()
+        assert set(manifest["artifacts"]) == {"init.ckpt", "log.csv", "diverged.marker"}
+
+    def test_refused_checkpoint_without_divergence_is_an_error(self, tmp_path, monkeypatch):
+        def refuse_final(path, model, extra=None):
+            if Path(path).name == "final.ckpt":
+                raise ValueError("parameter embedding is not finite in f32; checkpoint not written")
+            save_checkpoint(path, model, extra)
+
+        save_checkpoint = cli.save_checkpoint
+        monkeypatch.setattr(cli, "save_checkpoint", refuse_final)
+        assert run_train(tmp_path, "--steps", "3") == 1
+        assert not (tmp_path / "final.ckpt").exists()
 
     def test_unknown_ablation_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

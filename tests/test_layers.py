@@ -197,9 +197,10 @@ class TestKvCodeBits:
             cache.append(k, k)
             bits = kv_code_bits(position, kv_bits)
             assert cache.stored_code_bits(position) == bits
-            assert cache._k[position].scheme == QuantScheme.unsigned(bits)
+            expected = fake_quant(k, QuantScheme.unsigned(bits))
+            np.testing.assert_array_equal(cache.keys()[..., position, :], expected)
             fq = kv_fake_quant_values(k[..., None, :], kv_bits, np.array([position]))
-            np.testing.assert_array_equal(fq[..., 0, :], fake_quant(k, QuantScheme.unsigned(bits)))
+            np.testing.assert_array_equal(fq[..., 0, :], expected)
 
 
 class TestKvQuant:
@@ -238,13 +239,14 @@ class TestKvCache:
 
     def test_three_bit_cache_has_four_bit_bos(self):
         cache = KvCache(kv_bits=3)
-        k = RNG.standard_normal((2, 4, 8))
+        k = RNG.standard_normal((2, 4, 64))
         cache.append(k, k)
         cache.append(k, k)
         assert cache.stored_code_bits(0) == 4
         assert cache.stored_code_bits(1) == 3
-        assert cache._k[0].codes.max() <= 15
-        assert cache._k[1].codes.max() <= 7
+        levels = [[np.unique(head).size for head in cache.keys()[..., p, :].reshape(-1, 64)] for p in (0, 1)]
+        assert max(levels[0]) > 8 and max(levels[0]) <= 16
+        assert max(levels[1]) <= 8
 
     def test_off_mode_roundtrip_exact(self):
         cache = KvCache(kv_bits=8)
@@ -255,11 +257,19 @@ class TestKvCache:
         np.testing.assert_array_equal(cache.values()[..., 0, :], v)
 
     def test_scales_per_head_per_position(self):
-        cache = KvCache(kv_bits=4)
-        for _ in range(3):
-            cache.append(RNG.standard_normal((2, 4, 8)), RNG.standard_normal((2, 4, 8)))
-        assert len(cache) == 3
-        assert cache._k[0].scales.shape == (2, 4)
+        # doubling one head at one position doubles exactly that read-back
+        k = RNG.standard_normal((2, 4, 3, 8))
+        k2 = k.copy()
+        k2[1, 2, 1] *= 2.0
+        caches = [KvCache(kv_bits=4), KvCache(kv_bits=4)]
+        for cache, keys in zip(caches, (k, k2)):
+            for pos in range(3):
+                cache.append(keys[..., pos, :], keys[..., pos, :])
+        assert len(caches[0]) == 3
+        a, b = caches[0].keys(), caches[1].keys()
+        np.testing.assert_array_equal(b[1, 2, 1], 2.0 * a[1, 2, 1])
+        b[1, 2, 1] = a[1, 2, 1]
+        np.testing.assert_array_equal(a, b)
 
     def test_cache_matches_full_sequence_transform(self):
         # appending already fake-quantized heads re-quantizes them; unsigned
@@ -275,6 +285,41 @@ class TestKvCache:
     def test_empty_cache_read_rejected(self):
         with pytest.raises(ValueError):
             KvCache().keys()
+
+    @pytest.mark.parametrize("kv_bits", [3, 4, 8])
+    def test_extend_equals_appends(self, kv_bits):
+        k = RNG.standard_normal((2, 4, 11, 8))
+        v = RNG.standard_normal((2, 4, 11, 8))
+        appended, extended = KvCache(kv_bits), KvCache(kv_bits)
+        for pos in range(11):
+            appended.append(k[..., pos, :], v[..., pos, :])
+        for lo, hi in ((0, 1), (1, 4), (4, 5), (5, 11)):
+            extended.extend(k[..., lo:hi, :], v[..., lo:hi, :])
+        assert len(extended) == 11
+        np.testing.assert_array_equal(extended.keys(), appended.keys())
+        np.testing.assert_array_equal(extended.values(), appended.values())
+        assert [extended.stored_code_bits(p) for p in range(11)] == [kv_code_bits(p, kv_bits) for p in range(11)]
+
+    def test_raw_read_is_a_read_only_snapshot(self):
+        cache = KvCache(kv_bits=8)
+        cache.extend(RNG.standard_normal((1, 2, 3, 4)), RNG.standard_normal((1, 2, 3, 4)))
+        keys = cache.keys()
+        with pytest.raises(ValueError):
+            keys[0, 0, 0, 0] = 1.0
+        before = keys.copy()
+        cache.extend(RNG.standard_normal((1, 2, 5, 4)), RNG.standard_normal((1, 2, 5, 4)))
+        np.testing.assert_array_equal(keys, before)
+        np.testing.assert_array_equal(cache.keys()[..., :3, :], before)
+
+    def test_mismatched_heads_rejected(self):
+        cache = KvCache(kv_bits=3)
+        cache.append(RNG.standard_normal((2, 8)), RNG.standard_normal((2, 8)))
+        with pytest.raises(ValueError, match="do not match the cached"):
+            cache.append(RNG.standard_normal((3, 8)), RNG.standard_normal((3, 8)))
+        with pytest.raises(ValueError, match="K and V head shapes differ"):
+            cache.append(RNG.standard_normal((2, 8)), RNG.standard_normal((2, 4)))
+        with pytest.raises(IndexError):
+            cache.stored_code_bits(1)
 
 
 def base_attention_setup(seed=0, hidden=16, scheme=None):
@@ -349,6 +394,31 @@ class TestAttention:
         assert len(cache) == 4
         assert cache.keys().shape == (1, 2, 4, 8)
 
+    @pytest.mark.parametrize("q_bits", [4, 16])
+    @pytest.mark.parametrize("kv_bits", [3, 4, 8])
+    def test_cached_chunks_match_one_forward(self, kv_bits, q_bits):
+        qkv, out = base_attention_setup(seed=38)
+        out.k_fraction = None
+        x = RNG.standard_normal((2, 7, 16))
+        cache = KvCache(kv_bits=kv_bits)
+        with ad.no_grad():
+            full = attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=kv_bits, q_bits=q_bits).value
+            chunks = [
+                attention_forward(Var(x[:, lo:hi]), qkv, out, n_heads=2, kv_bits=kv_bits, q_bits=q_bits,
+                                  cache=cache).value
+                for lo, hi in ((0, 3), (3, 4), (4, 7))
+            ]
+        np.testing.assert_allclose(np.concatenate(chunks, axis=1), full, rtol=0, atol=1e-12)
+        assert len(cache) == 7
+
+    def test_cache_needs_no_grad_and_matching_bits(self):
+        qkv, out = base_attention_setup(seed=39)
+        x = Var(RNG.standard_normal((1, 2, 16)))
+        with pytest.raises(ValueError, match="no_grad"):
+            attention_forward(x, qkv, out, n_heads=2, cache=KvCache(kv_bits=8))
+        with ad.no_grad(), pytest.raises(ValueError, match="kv_bits=4"):
+            attention_forward(x, qkv, out, n_heads=2, kv_bits=3, cache=KvCache(kv_bits=4))
+
     def test_head_divisibility_checked(self):
         qkv, out = base_attention_setup(seed=36)
         x = RNG.standard_normal((1, 2, 16))
@@ -378,6 +448,12 @@ def test_causal_mask_shape_and_values():
     m = causal_mask(3)
     assert m[0, 0] == 0.0 and m[2, 0] == 0.0
     assert m[0, 1] == -1e30 and m[0, 2] == -1e30
+
+
+def test_causal_mask_after_cached_positions():
+    # two queries at absolute positions 3 and 4 see keys 0..3 and 0..4
+    np.testing.assert_array_equal(causal_mask(2, past=3), causal_mask(5)[3:])
+    assert causal_mask(1, past=4).tolist() == [[0.0] * 5]
 
 
 def test_stage_bindings_only_touch_schemes():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ternact import autodiff as ad
-from ternact.layers import Probe, Site, probing
+from ternact import model as model_mod
+from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
+from ternact.layers import KvCache, Probe, Site, probing
 from ternact.model import (
     ModelConfig,
     Stage,
@@ -18,6 +20,7 @@ from ternact.model import (
 )
 from ternact.quantcore import SCHEMES, SchemeKind
 from ternact.sparsify import measure_sparsity
+from ternact.train import TrainerConfig, run_two_stage
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -394,3 +397,112 @@ class TestWeightCodeCache:
         report = grad_check_ste(model, (self.TOKENS[:, :-1], self.TOKENS[:, 1:]), samples_per_tensor=2)
         assert report.passed
         np.testing.assert_array_equal(self._logits(model), before)
+
+
+def prefix_recompute_decode(model: TransformerModel, prompt: np.ndarray, n_new: int) -> np.ndarray:
+    """The decode loop before the KV cache was read: every step runs a full
+    forward over the last seq_len tokens."""
+    tokens = np.asarray(prompt)
+    for _ in range(n_new):
+        with ad.no_grad():
+            logits = model_forward(model, tokens[:, -model.config.seq_len:])
+        nxt = np.argmax(logits.value[:, -1, :], axis=-1)
+        tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
+    return tokens
+
+
+@pytest.fixture(scope="module")
+def trained_tiny():
+    """A tiny model trained for 30 steps: trained projections put many K/V
+    entries on 3-bit rounding ties, which random weights rarely do."""
+    model = TransformerModel(tiny_config(), seed=0)
+    chain = MarkovChain(MarkovDataConfig(vocab_size=32, seed=1))
+    recipe = TrainerConfig(total_steps=30, warmup_steps=2, batch_size=4, seed=0)
+    run_two_stage(model, batch_stream(chain, 4, 16, 2), recipe)
+    prompts = [chain.sample(np.random.default_rng(3), 1, n) for n in range(1, 9)]
+    return model, prompts
+
+
+def bind(model: TransformerModel, stage: Stage, kv_bits: int, q_bits: int) -> TransformerModel:
+    model.config.kv_bits, model.config.q_bits = kv_bits, q_bits
+    # two attn_out inputs of equal magnitude in one forward can differ by an
+    # ulp in the other, which changes what top-K keeps; checked without it
+    model.config.site_bindings = {"attn_out": {"scheme": "int8", "k": None}} if stage is Stage.STAGE2 else None
+    return configure_stage(model, stage)
+
+
+class TestIncrementalDecode:
+    """``greedy_decode`` feeds the prompt once, then one token per step,
+    and attention reads earlier positions from the KV caches."""
+
+    @staticmethod
+    def recorded_decode(monkeypatch, model, prompt, n_new):
+        calls = []
+        forward = model_mod.model_forward
+
+        def recording(m, tokens, caches=None):
+            logits = forward(m, tokens, caches)
+            calls.append((len(caches[0]) - tokens.shape[1], tokens.shape[1], logits.value[0]))
+            return logits
+
+        monkeypatch.setattr(model_mod, "model_forward", recording)
+        out = greedy_decode(model, prompt, n_new)
+        monkeypatch.setattr(model_mod, "model_forward", forward)
+        return out, calls
+
+    @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
+    @pytest.mark.parametrize("q_bits", [4, 16])
+    @pytest.mark.parametrize("kv_bits", [3, 4, 8])
+    def test_every_step_matches_the_full_forward(self, monkeypatch, trained_tiny, stage, kv_bits, q_bits):
+        model, prompts = trained_tiny
+        bind(model, stage, kv_bits, q_bits)
+        for prompt in prompts:
+            out, calls = self.recorded_decode(monkeypatch, model, prompt, 16 - prompt.shape[1])
+            with ad.no_grad():
+                full = model_forward(model, out).value[0]
+            for past, fed, logits in calls:
+                np.testing.assert_allclose(logits, full[past:past + fed], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.argmax(full[prompt.shape[1] - 1:-1], axis=-1),
+                                          out[0, prompt.shape[1]:])
+
+    @pytest.mark.parametrize("prompt_len,n_new", [(1, 15), (5, 6), (9, 1), (16, 1)])
+    def test_feeds_each_position_once(self, monkeypatch, trained_tiny, prompt_len, n_new):
+        model, _ = trained_tiny
+        bind(model, Stage.STAGE2, 3, 4)
+        prompt = np.arange(prompt_len)[None, :] % 32
+        _, calls = self.recorded_decode(monkeypatch, model, prompt, n_new)
+        assert [fed for _, fed, _ in calls] == [prompt_len] + [1] * (n_new - 1)
+        assert sum(fed for _, fed, _ in calls) == prompt_len + n_new - 1
+
+    @pytest.mark.parametrize("kv_bits", [3, 8])
+    def test_past_seq_len_equals_prefix_recompute(self, trained_tiny, kv_bits):
+        model, prompts = trained_tiny
+        model.config.kv_bits, model.config.q_bits, model.config.site_bindings = kv_bits, 4, None
+        configure_stage(model, Stage.STAGE2)
+        for prompt in (prompts[0], prompts[7], np.tile(prompts[7], 3)):
+            want = prefix_recompute_decode(model, prompt, 24)
+            np.testing.assert_array_equal(greedy_decode(model, prompt, 24), want)
+
+    def test_cache_under_grad_rejected(self):
+        model = TransformerModel(tiny_config(), seed=0)
+        caches = [KvCache(8) for _ in model.blocks]
+        with pytest.raises(ValueError, match="no_grad"):
+            model_forward(model, np.array([[1, 2]]), caches)
+
+    def test_cache_overflow_rejected(self):
+        model = TransformerModel(tiny_config(seq_len=4), seed=0)
+        caches = [KvCache(8) for _ in model.blocks]
+        with ad.no_grad():
+            model_forward(model, np.array([[1, 2, 3]]), caches)
+            with pytest.raises(ValueError, match="sequence length 5 exceeds seq_len 4"):
+                model_forward(model, np.array([[4, 5]]), caches)
+            model_forward(model, np.array([[4]]), caches)
+        assert len(caches[0]) == 4
+
+    def test_cache_count_and_bits_checked(self):
+        model = TransformerModel(tiny_config(kv_bits=3), seed=0)
+        with ad.no_grad():
+            with pytest.raises(ValueError, match="one KV cache per block"):
+                model_forward(model, np.array([[1]]), [KvCache(3)])
+            with pytest.raises(ValueError, match="kv_bits=8"):
+                model_forward(model, np.array([[1]]), [KvCache(8) for _ in model.blocks])

@@ -277,6 +277,32 @@ class TestUnsignedAbsmax:
         with pytest.raises(ValueError):
             quantize([1.0], QuantScheme.unsigned(5))
 
+    def test_lattice_codes_do_not_depend_on_the_last_ulps_of_the_scale(self):
+        # a projection output is integer code sums times a row scale, and the
+        # scale's last ulps depend on how many rows were computed together;
+        # with |sums| <= 15 many exact ratios sit on a level boundary
+        rng = np.random.default_rng(7)
+        n = 12000
+        rows = rng.integers(-15, 16, size=(n, 8)).astype(np.float64)
+        c = rng.uniform(0.01, 10.0, size=(n, 1))
+        ulps = rng.integers(1, 4, size=(n, 1)) * rng.choice([-1.0, 1.0], size=(n, 1))
+        c2 = c + ulps * np.spacing(c)
+        for bits in (3, 4):
+            a = quantize(rows * c, QuantScheme.unsigned(bits)).codes
+            b = quantize(rows * c2, QuantScheme.unsigned(bits)).codes
+            assert int(np.sum(np.any(a != b, axis=1))) == 0
+
+    def test_tie_grid_moves_codes_only_next_to_a_boundary(self):
+        x = np.random.default_rng(8).standard_normal((4000, 16))
+        t = x / np.max(np.abs(x), axis=-1, keepdims=True)
+        for bits in (3, 4):
+            levels = 2**bits - 1
+            ratio = (t + 1.0) / 2.0 * levels
+            unsnapped = np.trunc(ratio + 0.5)
+            near = np.abs(ratio - np.floor(ratio) - 0.5) <= 2.0**-33 * levels
+            codes = quantize(x, QuantScheme.unsigned(bits)).codes
+            assert np.all((codes == unsnapped) | near)
+
 
 class TestDequantize:
     def test_ternary_direct_scale(self):

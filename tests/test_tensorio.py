@@ -170,3 +170,21 @@ class TestCheckpoint:
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [1e39, np.inf, np.nan])
+    def test_value_not_finite_in_f32_rejected(self, tmp_path, bad):
+        # 1e39 is finite in f64 but would be stored as inf
+        model = tiny_model()
+        model.blocks[1].up.latent_weights.value[3, 4] = bad
+        model.head.value[0, 0] = bad
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="parameter blocks.1.up is not finite in f32"):
+            save_checkpoint(path, model)
+        assert not path.exists()
+
+    def test_largest_f32_value_accepted(self, tmp_path):
+        model = tiny_model()
+        model.head.value[0, 0] = -float(np.finfo(np.float32).max)
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.head.value[0, 0] == model.head.value[0, 0]
