@@ -3,10 +3,12 @@
 A ``Var`` wraps a float64 array and remembers how it was produced; calling
 ``backward`` on a scalar loss walks the recorded graph in reverse
 topological order and accumulates gradients into every upstream ``Var``.
-Quantizers and the top-K mask are non-differentiable, so their ops register
-straight-through adjoints: the quantizer backward returns the upstream
-gradient unchanged (bit-equal), and the mask either gates the gradient or is
-bypassed, controlled per call site.
+Quantizers and the top-K mask are non-differentiable, so the ops that apply
+them (``bitlinear`` here, the attention core in ``layers``) register
+straight-through adjoints: the gradient passes each quantizer unchanged, and
+the mask either gates the gradient or is bypassed, controlled per call site.
+``softmax`` and ``rope`` are array functions those adjoints are written
+around.
 
 Inside ``no_grad()`` ops compute values only and record nothing.
 """
@@ -122,36 +124,12 @@ def add(a: Var, b: Var) -> Var:
     return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def add_const(a: Var, c) -> Var:
-    a = as_var(a)
-    return Var(a.value + np.asarray(c, dtype=np.float64), (a,), lambda g: (g,))
-
-
 def mul(a: Var, b: Var) -> Var:
     a, b = as_var(a), as_var(b)
     if a.value.shape != b.value.shape:
         raise ValueError(f"mul shape mismatch: {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
     return Var(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-
-def scale(a: Var, c: float) -> Var:
-    a = as_var(a)
-    c = float(c)
-    return Var(a.value * c, (a,), lambda g: (g * c,))
-
-
-def matmul(a: Var, b: Var) -> Var:
-    """Batched matrix product; both operands must share their batch dims."""
-    a, b = as_var(a), as_var(b)
-    av, bv = a.value, b.value
-    if av.shape[:-2] != bv.shape[:-2]:
-        raise ValueError(f"matmul batch dims differ: {av.shape} vs {bv.shape}")
-
-    def backward(g):
-        return g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g
-
-    return Var(av @ bv, (a, b), backward)
 
 
 def linear(x: Var, w: Var) -> Var:
@@ -166,38 +144,6 @@ def linear(x: Var, w: Var) -> Var:
         return g @ wv, g2.T @ xv.reshape(-1, wv.shape[1])
 
     return Var(xv @ wv.T, (x, w), backward)
-
-
-def transpose(a: Var, axes: tuple[int, ...]) -> Var:
-    a = as_var(a)
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    return Var(a.value.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
-
-
-def reshape(a: Var, shape: tuple[int, ...]) -> Var:
-    a = as_var(a)
-    old = a.value.shape
-    return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def split_last(a: Var, sizes: tuple[int, ...]) -> list[Var]:
-    """Split along the last axis into consecutive chunks of the given sizes."""
-    a = as_var(a)
-    if sum(sizes) != a.value.shape[-1]:
-        raise ValueError(f"split sizes {sizes} do not cover last dim {a.value.shape[-1]}")
-    outs = []
-    start = 0
-    for size in sizes:
-        sl = slice(start, start + size)
-
-        def backward(g, sl=sl):
-            full = np.zeros_like(a.value)
-            full[..., sl] = g
-            return (full,)
-
-        outs.append(Var(a.value[..., sl], (a,), backward))
-        start += size
-    return outs
 
 
 def embedding(table: Var, tokens: np.ndarray) -> Var:
@@ -246,54 +192,41 @@ def rmsnorm(x: Var, gain: Var, eps: float = 1e-6) -> Var:
     return Var(xhat * gv, (x, gain), backward)
 
 
-def softmax(a: Var, axis: int = -1) -> Var:
-    a = as_var(a)
-    shifted = a.value - np.max(a.value, axis=axis, keepdims=True)
+def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = a - np.max(a, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    p = e / np.sum(e, axis=axis, keepdims=True)
-    return Var(p, (a,), lambda g: (p * (g - np.sum(g * p, axis=axis, keepdims=True)),))
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 # Rotary embedding base: pair i of a head turns by pos * ROPE_BASE^(-2i/d).
 ROPE_BASE = 10000.0
 
 
-def rope(a: Var, positions: np.ndarray) -> Var:
-    """Rotate interleaved pairs of the last axis by pos * ROPE_BASE^(-2i/d).
-
-    Expects (..., T, head_dim) with an even head_dim; positions has length T.
-    """
-    a = as_var(a)
-    d = a.value.shape[-1]
+def _rotate(v: np.ndarray, positions: np.ndarray, sign: float) -> np.ndarray:
+    d = v.shape[-1]
     if d % 2 != 0:
         raise ValueError(f"rope requires an even head_dim, got {d}")
     freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
     angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
-
-    def rotate(v, cos, sin):
-        even, odd = v[..., 0::2], v[..., 1::2]
-        out = np.empty_like(v)
-        out[..., 0::2] = even * cos - odd * sin
-        out[..., 1::2] = even * sin + odd * cos
-        return out
-
-    # the adjoint of a rotation is the rotation by the opposite angle
-    return Var(rotate(a.value, cos, sin), (a,), lambda g: (rotate(g, cos, -sin),))
+    cos, sin = np.cos(angles), sign * np.sin(angles)
+    even, odd = v[..., 0::2], v[..., 1::2]
+    out = np.empty_like(v)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
 
 
-def fake_quant_ste(a: Var, transform) -> Var:
-    """Apply a non-differentiable value transform with an identity adjoint.
+def rope(v: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Rotate interleaved pairs of the last axis by pos * ROPE_BASE^(-2i/d).
 
-    ``transform`` maps ndarray -> ndarray of the same shape (any fake-quant
-    composition). The backward returns the upstream gradient object itself,
-    so the pass-through is bit-equal by construction.
+    Expects (..., T, head_dim) with an even head_dim; positions has length T.
     """
-    a = as_var(a)
-    out = np.asarray(transform(a.value), dtype=np.float64)
-    if out.shape != a.value.shape:
-        raise ValueError("fake-quant transform changed the shape")
-    return Var(out, (a,), lambda g: (g,))
+    return _rotate(v, positions, 1.0)
+
+
+def rope_adjoint(g: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The adjoint of ``rope``: the rotation by the opposite angle."""
+    return _rotate(g, positions, -1.0)
 
 
 # Code-product multiplier per bitlinear input scheme: a product of input and

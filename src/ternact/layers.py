@@ -258,21 +258,23 @@ class KvCache:
         # reads at kv8 are views: a new array per extend keeps them snapshots
         self._kv.flags.writeable = False
 
-    def _read(self, i: int) -> np.ndarray:
+    def read(self) -> np.ndarray:
+        """Dequantized keys and values in one call, stacked as (2, ...,
+        n_heads, T, head_dim); at kv_bits=8 a read-only view of the stored
+        values."""
         if self._kv is None:
             raise ValueError("empty cache")
         if self.kv_bits == 8:
-            return self._kv[i]
-        return unsigned_values(self._kv[i], self._scales[i], kv_levels(np.arange(len(self)), self.kv_bits))
+            return self._kv
+        return unsigned_values(self._kv, self._scales, kv_levels(np.arange(len(self)), self.kv_bits))
 
     def keys(self) -> np.ndarray:
-        """Dequantized keys, shape (..., n_heads, T, head_dim); at kv_bits=8
-        a read-only view of the stored values."""
-        return self._read(0)
+        """Dequantized keys, shape (..., n_heads, T, head_dim)."""
+        return self.read()[0]
 
     def values(self) -> np.ndarray:
         """Dequantized values, as ``keys``."""
-        return self._read(1)
+        return self.read()[1]
 
     def stored_code_bits(self, position: int) -> int:
         """Bits the entries stored at ``position`` were quantized with; 8
@@ -299,49 +301,74 @@ def attention_forward(
     cache: KvCache | None = None,
 ) -> Var:
     """Causal multi-head attention with quantized projections and
-    post-rotation K/V treatment.
+    post-rotation K/V treatment: the qkv projection, ``attention_core``, and
+    the output projection.
 
     With a ``cache`` (inference only), x holds the positions that follow the
-    cached ones: they rotate at their absolute positions, their fake-quantized
-    K/V are appended to the cache, and attention reads every key and value
-    back from the stored codes, so a decode step computes one position."""
+    cached ones; see ``attention_core``."""
     x = ad.as_var(x)
-    b, t, h = x.value.shape
+    h = x.value.shape[-1]
     if h % n_heads != 0:
         raise ValueError(f"hidden size {h} not divisible by {n_heads} heads")
-    hd = h // n_heads
     check_bit_widths(kv_bits, q_bits)
-    past = 0
     if cache is not None:
         if ad.grad_enabled():
             raise ValueError("a KV cache serves inference only; run the forward under no_grad")
         if cache.kv_bits != kv_bits:
             raise ValueError(f"cache stores kv_bits={cache.kv_bits}, attention runs at {kv_bits}")
-        past = len(cache)
-    positions = np.arange(past, past + t)
-
     qkv = bitlinear_forward(qkv_layer, x)
-    q, k, v = ad.split_last(qkv, (h, h, h))
+    return bitlinear_forward(out_layer, attention_core(qkv, n_heads, kv_bits, q_bits, cache))
 
-    def to_heads(z):
-        return ad.transpose(ad.reshape(z, (b, t, n_heads, hd)), (0, 2, 1, 3))
 
-    q, k, v = to_heads(q), to_heads(k), to_heads(v)
-    q = ad.rope(q, positions)
-    k = ad.rope(k, positions)
+def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvCache | None = None) -> Var:
+    """One tape op from the (b, t, 3h) query/key/value projection to the
+    (b, t, h) context.
 
+    Q and K rotate at their absolute positions; Q is fake-quantized when
+    q_bits=4 and K/V below kv_bits=8. With a ``cache``, the new K/V are
+    appended and every key and value is read back from the stored codes, so
+    a decode step computes one position. The adjoint passes the gradient
+    straight through each quantizer; the rest is the exact adjoint of the
+    scores, softmax and context products, one numpy expression per step.
+    """
+    b, t, h3 = qkv.value.shape
+    h = h3 // 3
+    hd = h // n_heads
+    past = 0 if cache is None else len(cache)
+    positions = np.arange(past, past + t)
+    scale = float(1.0 / np.sqrt(hd))
+
+    heads = qkv.value.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
+    qk = ad.rope(heads[:2], positions)
+    q, k, v = qk[0], qk[1], heads[2]
     if q_bits == 4:
-        q = ad.fake_quant_ste(q, lambda z: fake_quant(z, QuantScheme.unsigned(4)))
+        q = fake_quant(q, QuantScheme.unsigned(4))
     if kv_bits != 8:
-        k = ad.fake_quant_ste(k, lambda z: kv_fake_quant_values(z, kv_bits, positions))
-        v = ad.fake_quant_ste(v, lambda z: kv_fake_quant_values(z, kv_bits, positions))
-
+        k, v = kv_fake_quant_values(np.stack((k, v)), kv_bits, positions)
     if cache is not None:
-        cache.extend(k.value, v.value)
-        k, v = Var(cache.keys()), Var(cache.values())
+        cache.extend(k, v)
+        k, v = cache.read()
 
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    scores = ad.add_const(scores, causal_mask(t, past))
-    attn = ad.softmax(scores)
-    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, t, h))
-    return bitlinear_forward(out_layer, ctx)
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    if t > 1:  # one query's mask is all zeros
+        scores = scores + causal_mask(t, past)
+    p = ad.softmax(scores)
+    ctx = (p @ v).transpose(0, 2, 1, 3).reshape(b, t, h)
+
+    def backward(g):
+        go = g.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+        dp = go @ np.swapaxes(v, -1, -2)
+        dv = np.swapaxes(p, -1, -2) @ go
+        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+        ds = ds * scale
+        dq = ds @ k
+        dk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
+        # adding into zeros maps -0.0 to 0.0, the bits a sum of zero-padded
+        # q, k and v gradients would have
+        dqkv = np.zeros((b, t, 3, n_heads, hd))
+        dheads = dqkv.transpose(2, 0, 3, 1, 4)
+        dheads[:2] += ad.rope_adjoint(np.stack((dq, dk)), positions)
+        dheads[2] += dv
+        return (dqkv.reshape(b, t, h3),)
+
+    return Var(ctx, (qkv,), backward)

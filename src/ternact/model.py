@@ -248,6 +248,10 @@ def greedy_decode(model: TransformerModel, prompt: np.ndarray, n_new: int) -> np
     last seq_len tokens, which is a full forward over that window."""
     cfg = model.config
     tokens = np.asarray(prompt)
+    if tokens.ndim != 2 or 0 in tokens.shape:
+        raise ValueError(f"prompt must be a non-empty (batch, len) array, got shape {tokens.shape}")
+    if n_new < 0:
+        raise ValueError(f"n_new must be non-negative, got {n_new}")
     caches: list[KvCache] = []
     with ad.no_grad():
         for _ in range(n_new):

@@ -193,19 +193,26 @@ def load_checkpoint(path) -> tuple[TransformerModel, dict]:
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         header_len = struct.unpack("<Q", _read_exact(f, 8))[0]
-        header = json.loads(_read_exact(f, header_len))
-        if header.get("format") != 1:
-            raise FormatError(f"unsupported checkpoint format {header.get('format')!r}")
-        config = ModelConfig(**header["model_config"])
+        try:
+            header = json.loads(_read_exact(f, header_len))
+            if header.get("format") != 1:
+                raise FormatError(f"unsupported checkpoint format {header.get('format')!r}")
+            config = ModelConfig(**header["model_config"])
+            # str() lets an unhashable entry fail the name check below
+            names, extra = [str(n) for n in header["param_names"]], dict(header["extra"])
+        except FormatError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"malformed checkpoint header: {type(e).__name__}: {e}") from e
         model = TransformerModel(config, seed=0)
         params = model.named_parameters()
-        if set(header["param_names"]) != set(params):
+        if set(names) != set(params):
             raise FormatError("checkpoint parameter names do not match the configuration")
-        for name in header["param_names"]:
+        for name in names:
             value = read_tensor(f)
             if value.shape != params[name].value.shape:
                 raise FormatError(
                     f"shape mismatch for {name}: {value.shape} vs {params[name].value.shape}"
                 )
             params[name].value = value
-    return model, header["extra"]
+    return model, extra

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .layers import attention_core, causal_mask, kv_fake_quant_values
 from .model import Stage, TransformerModel, configure_identity, configure_stage, model_forward
-from .quantcore import SCHEMES, NonFiniteValueError, QuantScheme, fake_quant
+from .quantcore import NonFiniteValueError, QuantScheme, fake_quant
 from .sparsify import topk_mask
 
 ADAM_BETAS = (0.9, 0.95)
@@ -270,27 +271,44 @@ def _relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-6)
 
 
-# Every scheme a bitlinear input can take, and every quantizer.
+# Every scheme a bitlinear input can take.
 BITLINEAR_INPUTS = tuple(ad.INPUT_SCHEMES.values())
-QUANTIZERS = tuple(SCHEMES.values())
 
 
 def ste_contract(rng: np.random.Generator) -> tuple[bool, bool]:
     """Check the straight-through contract through the live adjoints.
 
-    ``fake_quant_ste`` under every quantizer must hand the upstream gradient
-    object back unchanged. ``bitlinear`` under every input scheme must give
-    dx = g @ fq(w) and dw = g^T @ fq(x) bit for bit. With top-K on, dw sees
-    the masked input, and dx is gated by the mask unless ``mask_in_adjoint``
-    is off. Returns (pass-through ok, top-K gating ok).
+    ``attention_core`` at kv 3/4 with q 4 must hand the qkv projection, bit
+    for bit, the adjoint of the unquantized attention evaluated at the
+    fake-quantized rotated heads. ``bitlinear`` under every input scheme must
+    give dx = g @ fq(w) and dw = g^T @ fq(x) bit for bit. With top-K on, dw
+    sees the masked input, and dx is gated by the mask unless
+    ``mask_in_adjoint`` is off. Returns (pass-through ok, top-K gating ok).
     """
-    x = rng.standard_normal((4, 8))
+    b, t, n_heads, hd = 2, 5, 2, 4
+    qkv = rng.standard_normal((b, t, 3 * n_heads * hd))
+    heads = qkv.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
+    pos, scale = np.arange(t), float(1.0 / np.sqrt(hd))
     identity_ok = True
-    for scheme in QUANTIZERS:
-        g = rng.standard_normal(x.shape)
-        out = ad.fake_quant_ste(ad.Var(x), lambda z, s=scheme: fake_quant(z, s))
-        identity_ok = identity_ok and out._backward(g)[0] is g
+    for kv_bits in (3, 4):
+        qkv_var = ad.Var(qkv)
+        ctx = attention_core(qkv_var, n_heads, kv_bits, q_bits=4)
+        g = rng.standard_normal(ctx.shape)
+        ad.vsum(ad.mul(ctx, ad.Var(g))).backward()
+        q = fake_quant(ad.rope(heads[0], pos), QuantScheme.unsigned(4))
+        k = kv_fake_quant_values(ad.rope(heads[1], pos), kv_bits, pos)
+        v = kv_fake_quant_values(heads[2], kv_bits, pos)
+        p = ad.softmax(q @ np.swapaxes(k, -1, -2) * scale + causal_mask(t))
+        go = g.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+        dp = go @ np.swapaxes(v, -1, -2)
+        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * scale
+        dq = ad.rope_adjoint(ds @ k, pos)
+        dk = ad.rope_adjoint(np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2), pos)
+        dv = np.swapaxes(p, -1, -2) @ go
+        expected = np.concatenate([d.transpose(0, 2, 1, 3).reshape(b, t, -1) for d in (dq, dk, dv)], axis=-1)
+        identity_ok = identity_ok and np.array_equal(qkv_var.grad, expected)
 
+    x = rng.standard_normal((4, 8))
     ternary = QuantScheme.ternary()
     w = ad.Var(rng.standard_normal((3, 8)))
     fqw = fake_quant(w.value, ternary)

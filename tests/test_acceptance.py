@@ -139,7 +139,7 @@ def test_02_sparsity_arithmetic(report, init_stage2_report):
 
 def test_03_ste_contract(report):
     t0 = time.perf_counter()
-    # live fake_quant_ste adjoints under every quantizer, live bitlinear
+    # the live attention adjoint at kv3/kv4 with q4, live bitlinear
     # adjoints under every input scheme, with and without top-K and with
     # the mask in the adjoint on and off
     passthrough_ok, gated_ok = ste_contract(np.random.default_rng(11))

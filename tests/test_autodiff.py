@@ -57,14 +57,6 @@ class TestElementwiseOps:
         y = ad.Var(RNG.standard_normal((2, 5)))
         assert_matches_fd(lambda v: weighted(ad.mul(v, y), np.random.default_rng(1)), x)
 
-    def test_scale(self):
-        x = RNG.standard_normal(6)
-        assert_matches_fd(lambda v: weighted(ad.scale(v, -2.5), np.random.default_rng(2)), x)
-
-    def test_add_const(self):
-        x = RNG.standard_normal(4)
-        assert_matches_fd(lambda v: weighted(ad.add_const(v, [1.0, -2.0, 0.0, 3.0]), np.random.default_rng(3)), x)
-
     def test_relu2(self):
         # keep pre-activations away from the kink at zero
         x = np.array([-2.0, -0.5, 0.5, 1.3, 2.0])
@@ -82,52 +74,7 @@ class TestElementwiseOps:
         assert_matches_fd(lambda v: weighted(ad.silu(v), np.random.default_rng(5)), x)
 
 
-class TestShapeOps:
-    def test_transpose(self):
-        x = RNG.standard_normal((2, 3, 4))
-        assert_matches_fd(lambda v: weighted(ad.transpose(v, (2, 0, 1)), np.random.default_rng(6)), x)
-
-    def test_reshape(self):
-        x = RNG.standard_normal((3, 4))
-        assert_matches_fd(lambda v: weighted(ad.reshape(v, (2, 6)), np.random.default_rng(7)), x)
-
-    def test_split_last(self):
-        x = RNG.standard_normal((2, 7))
-
-        def build(v):
-            a, b, c = ad.split_last(v, (3, 2, 2))
-            rng = np.random.default_rng(8)
-            return ad.add(ad.add(weighted(a, rng), weighted(b, rng)), weighted(c, rng))
-
-        assert_matches_fd(build, x)
-
-    def test_split_sizes_validated(self):
-        with pytest.raises(ValueError):
-            ad.split_last(ad.Var(np.zeros((2, 5))), (2, 2))
-
-
 class TestMatmulOps:
-    def test_matmul_batched(self):
-        x = RNG.standard_normal((2, 3, 4))
-        y = ad.Var(RNG.standard_normal((2, 4, 5)))
-        assert_matches_fd(lambda v: weighted(ad.matmul(v, y), np.random.default_rng(9)), x)
-        # gradient w.r.t. the right operand too
-        yv = y.value.copy()
-        xfix = ad.Var(x)
-
-        def build(v):
-            return weighted(ad.matmul(xfix, v), np.random.default_rng(10))
-
-        w = ad.Var(yv)
-        loss = build(w)
-        loss.backward()
-        expected = fd_grad(lambda a: float(build(ad.Var(a)).value), yv)
-        np.testing.assert_allclose(w.grad, expected, rtol=1e-6, atol=1e-8)
-
-    def test_matmul_batch_dims_must_match(self):
-        with pytest.raises(ValueError):
-            ad.matmul(ad.Var(np.zeros((2, 3, 4))), ad.Var(np.zeros((3, 4, 5))))
-
     def test_linear(self):
         x = RNG.standard_normal((2, 3, 4))
         w = ad.Var(RNG.standard_normal((5, 4)))
@@ -169,39 +116,45 @@ class TestNormAndSoftmax:
         np.testing.assert_allclose(rms, 1.0, rtol=1e-4)
 
     def test_softmax(self):
+        # the max shift keeps huge logits finite and changes nothing else
         x = RNG.standard_normal((2, 5)) * 3.0
-        assert_matches_fd(lambda v: weighted(ad.softmax(v), np.random.default_rng(14)), x, rtol=1e-5)
+        e = np.exp(x)
+        np.testing.assert_allclose(ad.softmax(x), e / e.sum(axis=-1, keepdims=True), rtol=1e-12)
+        np.testing.assert_allclose(ad.softmax(x + 1e4), ad.softmax(x), rtol=1e-9)
 
     def test_softmax_rows_sum_to_one(self):
         x = RNG.standard_normal((3, 7)) * 10.0
-        p = ad.softmax(ad.Var(x)).value
+        p = ad.softmax(x)
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
 
 
 class TestRope:
     def test_position_zero_is_identity(self):
         x = RNG.standard_normal((2, 1, 8))
-        out = ad.rope(ad.Var(x), np.array([0]))
-        np.testing.assert_array_equal(out.value, x)
+        np.testing.assert_array_equal(ad.rope(x, np.array([0])), x)
 
     def test_head_dim_two_pos_one_rotates_one_radian(self):
-        out = ad.rope(ad.Var(np.array([[1.0, 0.0]])), np.array([1]))
-        np.testing.assert_allclose(out.value[0], [np.cos(1.0), np.sin(1.0)], rtol=1e-15)
+        out = ad.rope(np.array([[1.0, 0.0]]), np.array([1]))
+        np.testing.assert_allclose(out[0], [np.cos(1.0), np.sin(1.0)], rtol=1e-15)
 
     def test_pair_norms_preserved(self):
         x = RNG.standard_normal((2, 5, 6))
-        out = ad.rope(ad.Var(x), np.arange(5)).value
+        out = ad.rope(x, np.arange(5))
         before = x[..., 0::2] ** 2 + x[..., 1::2] ** 2
         after = out[..., 0::2] ** 2 + out[..., 1::2] ** 2
         np.testing.assert_allclose(after, before, rtol=1e-12)
 
     def test_grad(self):
-        x = RNG.standard_normal((2, 3, 4))
-        assert_matches_fd(lambda v: weighted(ad.rope(v, np.arange(3)), np.random.default_rng(15)), x)
+        # rope is linear, so its gradient is its adjoint: <rope(x), g> equals
+        # <x, rope_adjoint(g)>, and the adjoint of a rotation is its inverse
+        x, g = RNG.standard_normal((2, 2, 3, 4))
+        positions = np.arange(3)
+        assert np.sum(ad.rope(x, positions) * g) == pytest.approx(np.sum(x * ad.rope_adjoint(g, positions)), rel=1e-12)
+        np.testing.assert_allclose(ad.rope_adjoint(ad.rope(x, positions), positions), x, rtol=1e-12, atol=1e-15)
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ValueError):
-            ad.rope(ad.Var(np.zeros((1, 3))), np.array([0]))
+            ad.rope(np.zeros((1, 3)), np.array([0]))
 
 
 class TestEmbedding:
@@ -254,20 +207,6 @@ class TestCrossEntropy:
 
 
 class TestSteOps:
-    def test_fake_quant_ste_identity_adjoint_bit_equal(self):
-        x = ad.Var(RNG.standard_normal((4, 8)))
-        out = ad.fake_quant_ste(x, lambda v: fake_quant(v, QuantScheme.int4()))
-        w = ad.Var(RNG.standard_normal((4, 8)))
-        loss = ad.vsum(ad.mul(out, w))
-        loss.backward()
-        # upstream grad of the STE node is w.value; pass-through must be the
-        # identical array, not a tolerance match
-        np.testing.assert_array_equal(x.grad, w.value)
-
-    def test_fake_quant_ste_shape_guard(self):
-        with pytest.raises(ValueError):
-            ad.fake_quant_ste(ad.Var(np.zeros((2, 3))), lambda v: v[:1])
-
     def test_bitlinear_identity_matches_fd(self):
         x = RNG.standard_normal((3, 6))
         w = ad.Var(RNG.standard_normal((4, 6)))
@@ -357,8 +296,9 @@ class TestTapeMechanics:
 
     def test_zero_upstream_gives_zero_downstream(self):
         x = ad.Var(RNG.standard_normal((3, 4)))
-        out = ad.fake_quant_ste(x, lambda v: fake_quant(v, QuantScheme.int8()))
-        loss = ad.vsum(ad.mul(out, ad.Var(np.zeros((3, 4)))))
+        out = ad.bitlinear(x, ad.Var(RNG.standard_normal((2, 4))), ad.input_codes(x.value, QuantScheme.int8()),
+                           QuantScheme.ternary())
+        loss = ad.vsum(ad.mul(out, ad.Var(np.zeros((3, 2)))))
         loss.backward()
         assert np.all(x.grad == 0.0)
 

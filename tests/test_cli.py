@@ -2,6 +2,7 @@
 manifest checksums, preset expansion, exit codes, reproducibility."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from ternact import cli
 from ternact.cli import ABLATION_PRESETS, ConfigError, main, resolve_config
 from ternact.model import Stage
 from ternact.quantcore import SCHEMES
-from ternact.tensorio import load_checkpoint, load_quantized, save_tensor
+from ternact.tensorio import CHECKPOINT_MAGIC, load_checkpoint, load_quantized, save_tensor
 
 TINY_FLAGS = [
     "--hidden-size", "16",
@@ -415,3 +416,20 @@ def test_bad_input_leaves_no_out_dir(tmp_path, capsys, command):
     assert main([*argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [{"format": 1, "model_config": {}, "extra": {}},
+     {"format": 1, "model_config": {"bogus": 1}, "param_names": [], "extra": {}},
+     [1, 2]],
+    ids=["no-param-names", "unknown-config-key", "list"],
+)
+def test_malformed_checkpoint_header_is_usage_error(tmp_path, capsys, header):
+    blob = json.dumps(header).encode()
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+    out = tmp_path / "out"
+    assert main(["sparsity", "--checkpoint", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unreadable checkpoint {path}: malformed checkpoint header")
+    assert not out.exists()

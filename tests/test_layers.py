@@ -10,6 +10,7 @@ from ternact.layers import (
     KvCache,
     Probe,
     Site,
+    attention_core,
     attention_forward,
     bitlinear_forward,
     causal_mask,
@@ -176,8 +177,7 @@ class TestFfnForward:
 class TestRope:
     def test_apply_on_arrays(self):
         x = RNG.standard_normal((2, 3, 4))
-        with ad.no_grad():
-            out = ad.rope(x, np.arange(3)).value
+        out = ad.rope(x, np.arange(3))
         before = x[..., 0::2] ** 2 + x[..., 1::2] ** 2
         after = out[..., 0::2] ** 2 + out[..., 1::2] ** 2
         np.testing.assert_allclose(after, before, rtol=1e-12)
@@ -432,6 +432,50 @@ class TestAttention:
         name, value = next(iter(bits.items()))
         with pytest.raises(ValueError, match=f"{name} must be one of .*, got {value}"):
             attention_forward(Var(x), qkv, out, n_heads=2, **bits)
+
+    def test_grad_matches_finite_differences(self):
+        # unquantized projections at kv8/q16: the fused op's adjoint against
+        # central differences, for the input and both weight matrices
+        qkv, out = base_attention_setup(seed=40, hidden=8)
+        for layer in (qkv, out):
+            layer.input_scheme = layer.weight_scheme = None
+        x = Var(RNG.standard_normal((2, 3, 8)))
+        g = RNG.standard_normal((2, 3, 8))
+
+        def loss():
+            return ad.vsum(ad.mul(attention_forward(x, qkv, out, n_heads=2), Var(g)))
+
+        loss().backward()
+        for var in (x, qkv.latent_weights, out.latent_weights):
+            flat, fd = var.value.reshape(-1), np.zeros(var.value.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + 1e-6
+                up = float(loss().value)
+                flat[i] = orig - 1e-6
+                fd[i] = (up - float(loss().value)) / 2e-6
+                flat[i] = orig
+            np.testing.assert_allclose(var.grad.reshape(-1), fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("kv_bits", [3, 4])
+    def test_quantizers_pass_the_gradient_straight_through(self, kv_bits):
+        # rotated heads already on the q4 and kv grids: quantizing moves them
+        # by rounding error only, so the straight-through gradient must be
+        # the unquantized op's
+        b, t, n_heads, hd = 2, 4, 2, 4
+        positions = np.arange(t)
+        heads = RNG.standard_normal((3, b, n_heads, t, hd))
+        heads[0] = fake_quant(heads[0], QuantScheme.unsigned(4))
+        heads[1:] = kv_fake_quant_values(heads[1:], kv_bits, positions)
+        heads[:2] = ad.rope_adjoint(heads[:2], positions)
+        qkv = heads.transpose(1, 3, 0, 2, 4).reshape(b, t, 3 * n_heads * hd)
+        g = RNG.standard_normal((b, t, n_heads * hd))
+        grads = []
+        for bits in ((kv_bits, 4), (8, 16)):
+            var = Var(qkv)
+            ad.vsum(ad.mul(attention_core(var, n_heads, *bits), Var(g))).backward()
+            grads.append(var.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-9, atol=1e-12)
 
     def test_gradients_flow_to_all_weights(self):
         qkv, out = base_attention_setup(seed=37)

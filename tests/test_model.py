@@ -236,6 +236,17 @@ class TestForward:
         np.testing.assert_array_equal(out1, out2)
         np.testing.assert_array_equal(out1[:, :3], prompt)
 
+    @pytest.mark.parametrize(
+        ("prompt", "n_new", "name"),
+        [(np.zeros((1, 0), dtype=np.int64), 3, "prompt"), (np.array([1, 2, 3]), 3, "prompt"),
+         (np.array([[1, 2, 3]]), -1, "n_new")],
+        ids=["empty", "one-dimensional", "negative-n_new"],
+    )
+    def test_greedy_decode_rejects_bad_input(self, prompt, n_new, name):
+        model = TransformerModel(tiny_config(), seed=0)
+        with pytest.raises(ValueError, match=name):
+            greedy_decode(model, prompt, n_new)
+
 
 class TestProbe:
     """``layers.probing`` records what each projection consumed, reading the

@@ -14,7 +14,6 @@ from ternact.quantcore import NonFiniteValueError, QuantScheme, SchemeKind, fake
 from ternact.sparsify import topk_mask
 from ternact.train import (
     BITLINEAR_INPUTS,
-    QUANTIZERS,
     DivergenceMonitor,
     OptimizerState,
     StepRecord,
@@ -162,12 +161,6 @@ class TestAdamW:
 
 class TestSteBackward:
     """The straight-through contract, checked through the live adjoints."""
-
-    def test_scheme_kinds_pass_the_same_object(self):
-        g = np.random.default_rng(0).standard_normal((3, 4))
-        for scheme in QUANTIZERS:
-            out = ad.fake_quant_ste(ad.Var(np.ones((3, 4))), lambda z, s=scheme: fake_quant(z, s))
-            assert out._backward(g)[0] is g
 
     @staticmethod
     def _bitlinear_grads(x, w, scheme, k, gated):
