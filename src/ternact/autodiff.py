@@ -278,21 +278,20 @@ def input_codes(xv, scheme: QuantScheme, k_fraction: float | None = None) -> Inp
     if divisor is None:
         raise ValueError(f"unsupported bitlinear input scheme {scheme.kind}")
     q = quantize(xv, scheme)
+    codes = q.codes
     if scheme.kind is SchemeKind.FP4_MINMAX:
-        codes = _FP4_DOUBLED[q.codes + 7]
-    else:
-        codes = q.codes.astype(np.float32)
+        codes = _FP4_DOUBLED[codes.astype(np.intp) + 7]
     row_factor = np.asarray(q.scales, dtype=np.float64)[..., None] / divisor
     mask = None
     if k_fraction is not None:
         mask = topk_mask(xv, k_fraction).mask
-        codes *= mask
+        codes = codes * mask  # a new array: q.codes stay the unmasked codes
     return InputCodes(codes, row_factor, mask, q)
 
 
 def weight_codes(w: Var, scheme: QuantScheme) -> QuantizedTensor:
-    """Quantized latent weights whose codes are float32, ready for the code
-    matmul.
+    """``quantize(w.value, scheme)``, whose float32 codes the code matmul
+    reads as they are.
 
     Under ``no_grad`` the result is cached on the Var, keyed on the identity
     of ``w.value`` and on the scheme. The optimizer rebinds ``w.value`` on
@@ -305,9 +304,7 @@ def weight_codes(w: Var, scheme: QuantScheme) -> QuantizedTensor:
     if hit is not None and hit[0]() is wv and hit[1] == scheme:
         return hit[2]
     q = quantize(wv, scheme)
-    codes = q.codes.astype(np.float32)
-    codes.flags.writeable = False
-    q = QuantizedTensor(codes, q.scales, scheme)
+    q.codes.flags.writeable = False
     if not _GRAD_ENABLED:
         wv.flags.writeable = False
         w._codes = (weakref.ref(wv), scheme, q)

@@ -27,7 +27,7 @@ from .data import MarkovChain, MarkovDataConfig, batch_stream
 from .layers import VALID_KV_BITS, VALID_Q_BITS, Site
 from .metrics import activation_histogram, eval_perplexity, scheme_label, sparsity_report
 from .model import ModelConfig, Stage, TransformerModel, stage_bindings
-from .quantcore import SCHEMES, Granularity, fake_quant, quantize
+from .quantcore import SCHEMES, Granularity, dequantize, quantize
 from .tensorio import (
     FormatError,
     load_checkpoint,
@@ -327,6 +327,10 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_gradcheck(cfg: dict, args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if not (np.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise ConfigError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     fixture = ModelConfig(
         hidden_size=16, glu_size=44, n_heads=2, n_layers=2, vocab_size=32, seq_len=16
     )
@@ -450,7 +454,7 @@ def cmd_quant(cfg: dict, args) -> int:
     if args.per_tensor:
         scheme = dataclasses.replace(scheme, granularity=Granularity.PER_TENSOR)
     q = quantize(x, scheme)
-    deq = fake_quant(x, scheme)
+    deq = dequantize(q)
     err = deq - x
     report = {
         "scheme": scheme_label(scheme),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .quantcore import QuantScheme, codes_and_scales, fake_quant, unsigned_values
+from .quantcore import NonFiniteValueError, QuantScheme, fake_quant, unsigned_codes, unsigned_values
 from .sparsify import gate_active_channels, measure_sparsity
 
 VALID_KV_BITS = (3, 4, 8)
@@ -190,23 +190,22 @@ def kv_levels(positions: np.ndarray, kv_bits: int) -> np.ndarray:
 
 def kv_codes(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quantize (..., T, head_dim) K or V heads at absolute ``positions``,
-    each position at ``kv_code_bits``, per head per position.
+    each position at ``kv_code_bits``, per head per position, in one pass.
 
     Returns the codes and the scales as (..., T, 1); with ``kv_levels`` they
-    dequantize through ``unsigned_values``. The attention fake-quant and the
-    cache store both quantize through here. kv_bits=8 is raw, so the caller
-    should not get here.
+    dequantize through ``unsigned_values``. Each position's codes equal
+    ``quantize`` under ``QuantScheme.unsigned(kv_code_bits(position,
+    kv_bits))``. The attention fake-quant and the cache store both quantize
+    through here. kv_bits=8 is raw, so the caller should not get here.
     """
     if kv_bits not in (3, 4):
         raise ValueError(f"kv fake-quant expects 3 or 4 bits, got {kv_bits}")
-    codes, scales = codes_and_scales(values, QuantScheme.unsigned(kv_bits))
-    bos_bits = kv_code_bits(0, kv_bits)
-    bos = np.asarray(positions) == 0
-    if bos_bits != kv_bits and bos.any():
-        codes[..., bos, :], scales[..., bos] = codes_and_scales(
-            values[..., bos, :], QuantScheme.unsigned(bos_bits)
-        )
-    return codes, scales[..., None]
+    values = np.asarray(values, dtype=np.float64)
+    scales = np.max(np.abs(values), axis=-1, keepdims=True)
+    # a group's absmax is NaN or inf exactly when one of its entries is
+    if not np.all(np.isfinite(scales)):
+        raise NonFiniteValueError("K/V heads contain non-finite values")
+    return unsigned_codes(values, scales, kv_levels(positions, kv_bits)), scales
 
 
 def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Quantizers with explicit scale bookkeeping.
 
-Every function here is a pure, deterministic map from a float tensor to integer
-codes plus real scales (or back). Weights quantize with one scale per tensor;
-activations default to one scale per token row, where the trailing axis is the
-feature axis. All rounding is round-half-away-from-zero.
+``quantize``/``dequantize`` are the one quantizer pair, a pure map from a
+float tensor to integer-valued float32 codes plus real scales and back;
+projections, reports and ``.q48`` files read those codes as they are, and the
+KV cache quantizes through the same unsigned core, ``unsigned_codes``.
+Weights quantize with one scale per tensor; activations default to one scale
+per token row, where the trailing axis is the feature axis. All rounding is
+round-half-away-from-zero.
 """
 
 from __future__ import annotations
@@ -137,18 +140,11 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
 
-def _group_reduce(x: np.ndarray, granularity: Granularity, fn) -> np.ndarray:
+def _group_abs(fn, x: np.ndarray, granularity: Granularity) -> np.ndarray:
+    # fn (np.max or np.mean) of |x| over each scaling group
     if granularity is Granularity.PER_TENSOR:
-        return np.asarray(fn(x))
-    return fn(x, axis=-1)
-
-
-def _group_absmax(x: np.ndarray, granularity: Granularity) -> np.ndarray:
-    return _group_reduce(np.abs(x), granularity, np.max)
-
-
-def _group_absmean(x: np.ndarray, granularity: Granularity) -> np.ndarray:
-    return _group_reduce(np.abs(x), granularity, np.mean)
+        return np.asarray(fn(np.abs(x)))
+    return fn(np.abs(x), axis=-1)
 
 
 def _expand(scales: np.ndarray, granularity: Granularity) -> np.ndarray:
@@ -158,75 +154,83 @@ def _expand(scales: np.ndarray, granularity: Granularity) -> np.ndarray:
     return scales[..., None]
 
 
-def codes_and_scales(x, scheme: QuantScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize to float64 integer-valued codes plus group scales.
+def unsigned_codes(x: np.ndarray, scales: np.ndarray, levels) -> np.ndarray:
+    """The unsigned quantizer: x in [-scale, scale] onto float64 codes in
+    [0, levels], rounded half up. ``scales`` and ``levels`` broadcast against
+    ``x``, so a KV cache can quantize positions at different bit widths in
+    one call. The error bound is scale/levels plus the tie grid's 2^-33 *
+    scale (an entry that close to a boundary may take the farther level),
+    which leaves no room for an epsilon in the divisor: zero groups are
+    guarded explicitly."""
+    safe = np.where(scales > 0.0, scales, 1.0)
+    # t = x / scale on the tie grid, counted in grid steps: an integer in
+    # [-TIE_GRID, TIE_GRID] (asarray: a 0-d quotient is a scalar)
+    steps = np.asarray(x / safe)
+    steps *= TIE_GRID
+    np.rint(steps, out=steps)
+    # (t + 1) / 2 * levels, exact and in [0, levels], then rounded half up
+    steps += TIE_GRID
+    steps *= levels / (2.0 * TIE_GRID)
+    steps += 0.5
+    return np.floor(steps, out=steps)
 
-    This is the shared core of :func:`quantize` and of the layer matmuls,
-    which multiply code arrays directly so every contraction stays exact
-    integer arithmetic.
+
+def unsigned_values(codes: np.ndarray, scales: np.ndarray, levels) -> np.ndarray:
+    """The unsigned dequantizer: codes in [0, levels] onto [-scale, scale].
+    ``scales`` and ``levels`` broadcast against ``codes``, as in
+    ``unsigned_codes``."""
+    return (2.0 * (codes / levels) - 1.0) * scales
+
+
+def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
+    """Quantize a tensor under ``scheme`` (see ``SchemeKind`` for each kind).
+
+    The codes are integer-valued float32 for every scheme (no code exceeds
+    255 in magnitude, so float32 holds each exactly): projections multiply
+    them directly, which keeps every contraction exact integer arithmetic.
     """
     arr = _as_checked_array(x)
+    granularity = scheme.granularity
+    if granularity is Granularity.PER_TOKEN and arr.ndim == 0:
+        raise ValueError("a per-token scheme needs a feature axis; quantize a 0-d tensor "
+                         "per tensor (--per-tensor)")
     kind = scheme.kind
     if kind is SchemeKind.TERNARY_ABSMEAN:
-        alpha = np.asarray(np.mean(np.abs(arr)))
-        codes = np.clip(_round_half_away(arr / (alpha + EPS)), -1, 1)
-        return codes, alpha
-    if kind is SchemeKind.INT8_ABSMAX:
-        gamma = _group_absmax(arr, scheme.granularity)
-        ratio = 127.0 * arr / (_expand(gamma, scheme.granularity) + EPS)
-        return np.clip(_round_half_away(ratio), -128, 127), gamma
-    if kind is SchemeKind.INT4_ABSMEAN:
-        beta = scheme.multiplier * _group_absmean(arr, scheme.granularity)
-        ratio = SQRT7 * arr / (_expand(beta, scheme.granularity) + EPS)
-        return np.clip(_round_half_away(ratio), -8, 7), beta
-    if kind is SchemeKind.FP4_MINMAX:
-        return _fp4_codes(arr, scheme.granularity)
-    if kind is SchemeKind.UNSIGNED_ABSMAX:
-        gamma = _group_absmax(arr, scheme.granularity)
-        # The error bound is gamma/(2^bits - 1) plus the tie grid's
-        # 2^-33 * gamma (an entry that close to a level boundary may take the
-        # farther level). That leaves no room for an epsilon in the divisor,
-        # so zero groups are guarded explicitly.
-        safe = np.where(gamma > 0.0, gamma, 1.0)
-        # t = x / gamma on the tie grid, counted in grid steps: an integer
-        # in [-TIE_GRID, TIE_GRID]
-        steps = arr / _expand(safe, scheme.granularity)
-        steps *= TIE_GRID
-        np.rint(steps, out=steps)
-        # (t + 1) / 2 * levels, exact and in [0, levels], then rounded half up
-        steps += TIE_GRID
-        steps *= float(2**scheme.bits - 1) / (2.0 * TIE_GRID)
-        steps += 0.5
-        return np.floor(steps, out=steps), gamma
-    raise ValueError(f"unknown scheme kind: {kind}")
+        scales = _group_abs(np.mean, arr, granularity)
+        codes = np.clip(_round_half_away(arr / (scales + EPS)), -1, 1)
+    elif kind is SchemeKind.INT8_ABSMAX:
+        scales = _group_abs(np.max, arr, granularity)
+        codes = np.clip(_round_half_away(127.0 * arr / (_expand(scales, granularity) + EPS)), -128, 127)
+    elif kind is SchemeKind.INT4_ABSMEAN:
+        scales = scheme.multiplier * _group_abs(np.mean, arr, granularity)
+        codes = np.clip(_round_half_away(SQRT7 * arr / (_expand(scales, granularity) + EPS)), -8, 7)
+    elif kind is SchemeKind.FP4_MINMAX:
+        # One pass of s -> (6s)/6 makes the scale stable under requantization:
+        # the map is a projection in float64, so fake_quant stays idempotent
+        # even when 6*s rounds.
+        scales = (6.0 * (_group_abs(np.max, arr, granularity) / 6.0)) / 6.0
+        mag = np.abs(arr) / _expand(np.where(scales > 0.0, scales, 1.0), granularity)
+        # side='right' sends exact midpoints to the larger magnitude, matching
+        # round-half-away elsewhere.
+        codes = np.sign(arr) * np.searchsorted(_E2M1_MIDPOINTS, mag, side="right")
+    elif kind is SchemeKind.UNSIGNED_ABSMAX:
+        scales = _group_abs(np.max, arr, granularity)
+        codes = unsigned_codes(arr, _expand(scales, granularity), float(2**scheme.bits - 1))
+    else:
+        raise ValueError(f"unknown scheme kind: {kind}")
+    return QuantizedTensor(codes.astype(np.float32), np.asarray(scales), scheme)
 
 
-def _fp4_codes(arr: np.ndarray, granularity: Granularity) -> tuple[np.ndarray, np.ndarray]:
-    gamma = _group_absmax(arr, granularity)
-    scale = gamma / 6.0
-    # One pass of s -> (6s)/6 makes the scale stable under requantization:
-    # the map is a projection in float64, so fake_quant stays idempotent
-    # even when 6*s rounds.
-    scale = (6.0 * scale) / 6.0
-    safe = np.where(scale > 0.0, scale, 1.0)
-    mag = np.abs(arr) / _expand(safe, granularity)
-    # side='right' sends exact midpoints to the larger magnitude, matching
-    # round-half-away elsewhere.
-    idx = np.searchsorted(_E2M1_MIDPOINTS, mag, side="right")
-    codes = np.sign(arr) * idx
-    return codes, scale
-
-
-def values_from_codes(codes: np.ndarray, scales: np.ndarray, scheme: QuantScheme) -> np.ndarray:
-    """Map integer-valued codes back to real values (the dequantizer core).
+def dequantize(q: QuantizedTensor) -> np.ndarray:
+    """Map a QuantizedTensor's codes back to real values.
 
     Division-before-scale ordering is deliberate: the extreme code divides to
     exactly 1.0, so requantizing a dequantized tensor recovers the same group
     scale bit-exactly.
     """
-    kind = scheme.kind
-    s = _expand(np.asarray(scales, dtype=np.float64), scheme.granularity)
-    c = np.asarray(codes, dtype=np.float64)
+    kind = q.scheme.kind
+    s = _expand(np.asarray(q.scales, dtype=np.float64), q.scheme.granularity)
+    c = np.asarray(q.codes, dtype=np.float64)
     if kind is SchemeKind.TERNARY_ABSMEAN:
         return c * s
     if kind is SchemeKind.INT8_ABSMAX:
@@ -236,40 +240,11 @@ def values_from_codes(codes: np.ndarray, scales: np.ndarray, scheme: QuantScheme
     if kind is SchemeKind.FP4_MINMAX:
         return np.sign(c) * E2M1_GRID[np.abs(c).astype(np.int64)] * s
     if kind is SchemeKind.UNSIGNED_ABSMAX:
-        return unsigned_values(c, s, float(2**scheme.bits - 1))
+        return unsigned_values(c, s, float(2**q.scheme.bits - 1))
     raise ValueError(f"unknown scheme kind: {kind}")
 
 
-def unsigned_values(codes: np.ndarray, scales: np.ndarray, levels) -> np.ndarray:
-    """The unsigned dequantizer: codes in [0, levels] onto [-scale, scale].
-    ``scales`` and ``levels`` broadcast against ``codes``, so a KV cache can
-    read positions stored at different bit widths in one call."""
-    return (2.0 * (codes / levels) - 1.0) * scales
-
-
-def code_dtype(scheme: QuantScheme) -> np.dtype:
-    if scheme.kind is SchemeKind.UNSIGNED_ABSMAX:
-        return np.dtype(np.uint8)
-    return np.dtype(np.int8)
-
-
-def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
-    """Quantize a tensor under ``scheme`` (see ``SchemeKind`` for each kind)."""
-    codes, scales = codes_and_scales(x, scheme)
-    return QuantizedTensor(codes.astype(code_dtype(scheme)), np.asarray(scales), scheme)
-
-
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Invert a QuantizedTensor back to real values."""
-    return values_from_codes(q.codes, q.scales, q.scheme)
-
-
-def fake_quant(x, scheme: QuantScheme | None) -> np.ndarray:
-    """dequantize(quantize(x, scheme)); identity when scheme is None.
-
-    This is the value every quantized operand takes inside a forward pass.
-    """
-    if scheme is None:
-        return np.asarray(x, dtype=np.float64)
-    codes, scales = codes_and_scales(x, scheme)
-    return values_from_codes(codes, scales, scheme)
+def fake_quant(x, scheme: QuantScheme) -> np.ndarray:
+    """dequantize(quantize(x, scheme)): the value every quantized operand
+    takes inside a forward pass."""
+    return dequantize(quantize(x, scheme))

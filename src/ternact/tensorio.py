@@ -5,9 +5,10 @@ then the values as little-endian f32 in row-major order. Quantized tensors
 reuse the header with the top bit of the rank byte set, followed by a scheme
 descriptor, the f32 scale array (with its own rank/dims), and one code byte
 per entry (i8, or u8 for the unsigned family; sub-byte packing is out of
-scope). Checkpoints are a ``BA48CKPT1`` magic, a length-prefixed JSON header
-carrying the model configuration and parameter order, and one dense block
-per parameter in that order. Values are stored as f32, so loading widens
+scope); reading widens them back to the float32 codes ``quantize`` returns.
+Checkpoints are a ``BA48CKPT1`` magic, a length-prefixed JSON header carrying
+the model configuration and parameter order, and one dense block per
+parameter in that order. Values are stored as f32, so loading widens
 back to f64 but does not recover bits beyond f32; a checkpoint with a
 parameter that is not finite in f32 is refused.
 """
@@ -22,7 +23,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .model import ModelConfig, TransformerModel
-from .quantcore import Granularity, QuantizedTensor, QuantScheme, SchemeKind, code_dtype
+from .quantcore import Granularity, QuantizedTensor, QuantScheme, SchemeKind
 
 TENSOR_MAGIC = b"BA48"
 CHECKPOINT_MAGIC = b"BA48CKPT1"
@@ -40,6 +41,11 @@ _TAG_SCHEMES = {v: k for k, v in _SCHEME_TAGS.items()}
 
 class FormatError(ValueError):
     pass
+
+
+def _code_dtype(scheme: QuantScheme) -> np.dtype:
+    # one byte per code on disk; codes are float32 in memory
+    return np.dtype(np.uint8 if scheme.kind is SchemeKind.UNSIGNED_ABSMAX else np.int8)
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
@@ -99,7 +105,7 @@ def write_quantized(f: BinaryIO, q: QuantizedTensor) -> None:
     f.write(struct.pack("<B", scales.ndim))
     _write_dims(f, scales.shape)
     f.write(np.ascontiguousarray(scales, dtype="<f4").tobytes())
-    f.write(np.ascontiguousarray(q.codes, dtype=code_dtype(scheme)).tobytes())
+    f.write(np.ascontiguousarray(q.codes, dtype=_code_dtype(scheme)).tobytes())
 
 
 def read_quantized(f: BinaryIO) -> QuantizedTensor:
@@ -130,8 +136,8 @@ def read_quantized(f: BinaryIO) -> QuantizedTensor:
         .reshape(scale_shape)
     )
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    codes = np.frombuffer(_read_exact(f, count), dtype=code_dtype(scheme)).reshape(shape)
-    return QuantizedTensor(codes.copy(), scales, scheme)
+    codes = np.frombuffer(_read_exact(f, count), dtype=_code_dtype(scheme)).astype(np.float32)
+    return QuantizedTensor(codes.reshape(shape), scales, scheme)
 
 
 def save_tensor(path, arr: np.ndarray) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ternact import autodiff as ad
-from ternact.quantcore import Granularity, QuantScheme, fake_quant
+from ternact.quantcore import Granularity, QuantScheme, SchemeKind, fake_quant
 
 
 def fd_grad(f, x, eps=1e-5):
@@ -273,6 +273,23 @@ class TestSteOps:
         with pytest.raises(ValueError, match="do not match"):
             ad.bitlinear(x, w, xin, QuantScheme.ternary())
 
+    @pytest.mark.parametrize("scheme", [QuantScheme.int8(), QuantScheme.int4(), QuantScheme.fp4()],
+                             ids=["int8", "int4", "fp4"])
+    def test_input_codes_read_quantize_codes_and_mask_a_copy(self, scheme):
+        from ternact.quantcore import E2M1_GRID, quantize
+        from ternact.sparsify import topk_mask
+
+        xv = RNG.standard_normal((4, 8))
+        codes = quantize(xv, scheme).codes
+        if scheme.kind is SchemeKind.FP4_MINMAX:
+            codes = np.sign(codes) * 2.0 * E2M1_GRID[np.abs(codes).astype(int)]
+        mask = topk_mask(xv, 0.5).mask
+        xin = ad.input_codes(xv, scheme, 0.5)
+        assert xin.codes.dtype == np.float32
+        np.testing.assert_array_equal(xin.codes, codes * mask)
+        # the top-K multiply leaves the QuantizedTensor's codes unmasked
+        np.testing.assert_array_equal(xin.quantized.codes, quantize(xv, scheme).codes)
+
 
 class TestTapeMechanics:
     def test_reused_var_accumulates(self):
@@ -380,6 +397,16 @@ class TestWeightCodeCache:
             q = ad.weight_codes(w, per_tensor_int8)
         assert q.scheme == per_tensor_int8
         assert np.abs(q.codes).max() == 127.0
+
+    def test_cached_entry_is_the_read_only_quantize_result(self):
+        from ternact.quantcore import quantize
+
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        with ad.no_grad():
+            q = ad.weight_codes(w, self.TERNARY)
+            assert ad.weight_codes(w, self.TERNARY) is q
+        assert q.codes.dtype == np.float32 and not q.codes.flags.writeable
+        np.testing.assert_array_equal(q.codes, quantize(w.value, self.TERNARY).codes)
 
     def test_replaced_array_is_not_kept_alive(self):
         import gc

@@ -11,7 +11,7 @@ import pytest
 from ternact import cli
 from ternact.cli import ABLATION_PRESETS, ConfigError, main, resolve_config
 from ternact.model import Stage
-from ternact.quantcore import SCHEMES
+from ternact.quantcore import SCHEMES, Granularity
 from ternact.tensorio import CHECKPOINT_MAGIC, load_checkpoint, load_quantized, save_tensor
 
 TINY_FLAGS = [
@@ -301,6 +301,19 @@ class TestGradcheck:
         assert main(["gradcheck", "--samples", "2", "--tolerance", "1e-18"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--samples", "0"), ("--samples", "-1"), ("--tolerance", "-1"), ("--tolerance", "0"),
+         ("--tolerance", "nan"), ("--tolerance", "inf")],
+    )
+    def test_bad_flag_rejected_before_checking(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", flag, value, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and flag in captured.err
+        assert "checked" not in captured.out
+        assert not out.exists()
+
 
 class TestSparsity:
     def test_report_artifacts(self, trained_dir, tmp_path):
@@ -391,6 +404,20 @@ class TestQuant:
         stats = json.loads((out / "quant_stats.json").read_text())
         assert stats["mse"] > 0
         assert stats["max_abs_err"] > 0
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_scalar_tensor_needs_per_tensor(self, tmp_path, capsys, scheme):
+        tensor_path = tmp_path / "s.t"
+        save_tensor(tensor_path, np.array(3.0))
+        argv = ["quant", "--tensor", str(tensor_path), "--scheme", scheme]
+        if SCHEMES[scheme].granularity is Granularity.PER_TOKEN:
+            assert main([*argv, "--out-dir", str(tmp_path / "q")]) == 1
+            assert "--per-tensor" in capsys.readouterr().err
+            assert not (tmp_path / "q").exists()
+        out = tmp_path / "qt"
+        assert main([*argv, "--per-tensor", "--out-dir", str(out)]) == 0
+        q = load_quantized(out / f"s.{scheme}.q48")
+        assert q.codes.shape == () and q.scales.shape == ()
 
     def test_missing_tensor_is_usage_error(self, tmp_path):
         assert (

@@ -16,12 +16,13 @@ from ternact.layers import (
     causal_mask,
     ffn_forward,
     kv_code_bits,
+    kv_codes,
     kv_fake_quant_values,
     probing,
     relu2glu,
     relu2glu_gate_first,
 )
-from ternact.quantcore import QuantScheme, dequantize, fake_quant, quantize
+from ternact.quantcore import NonFiniteValueError, QuantScheme, dequantize, fake_quant, quantize
 from ternact.sparsify import measure_sparsity
 
 RNG = np.random.default_rng(2024)
@@ -201,6 +202,26 @@ class TestKvCodeBits:
             np.testing.assert_array_equal(cache.keys()[..., position, :], expected)
             fq = kv_fake_quant_values(k[..., None, :], kv_bits, np.array([position]))
             np.testing.assert_array_equal(fq[..., 0, :], expected)
+
+    @pytest.mark.parametrize("start", [0, 1, 6])
+    @pytest.mark.parametrize("kv_bits", [3, 4])
+    def test_one_call_equals_quantize_row_by_row(self, kv_bits, start):
+        kv = RNG.standard_normal((2, 3, 5, 8))
+        kv[0, 1, 2] = 0.0  # a zero group keeps its zero scale
+        positions = np.arange(start, start + 5)
+        codes, scales = kv_codes(kv, kv_bits, positions)
+        assert codes.shape == kv.shape and scales.shape == kv.shape[:-1] + (1,)
+        for t, position in enumerate(positions):
+            q = quantize(kv[..., t, :], QuantScheme.unsigned(kv_code_bits(position, kv_bits)))
+            np.testing.assert_array_equal(codes[..., t, :], q.codes)
+            np.testing.assert_array_equal(scales[..., t, 0], q.scales)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_heads_rejected(self, bad):
+        kv = RNG.standard_normal((2, 3, 8))
+        kv[1, 2, 5] = bad
+        with pytest.raises(NonFiniteValueError):
+            kv_codes(kv, 3, np.arange(3))
 
 
 class TestKvQuant:

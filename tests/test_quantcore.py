@@ -4,15 +4,17 @@ Expected values marked ORACLE were computed by evaluating the defining
 formulas directly (by hand or with the inline oracle helpers) and frozen here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from quant_properties import run_suite
+from quant_properties import CODE_RANGES, run_suite
 from ternact.quantcore import (
     EPS,
     E2M1_GRID,
+    SCHEMES,
     Granularity,
     NonFiniteValueError,
     QuantScheme,
@@ -330,8 +332,9 @@ class TestDequantize:
 
 class TestFakeQuant:
     def test_identity_scheme_passthrough(self):
+        # every entry lies on the per-tensor fp4 grid (scale 2.25 / 6)
         x = np.array([1.5, -2.25, 0.0])
-        assert np.array_equal(fake_quant(x, None), x)
+        assert np.array_equal(fake_quant(x, QuantScheme.fp4(Granularity.PER_TENSOR)), x)
 
     def test_composition_matches_quantize_dequantize(self):
         rng = np.random.default_rng(3)
@@ -342,6 +345,34 @@ class TestFakeQuant:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             fake_quant([np.nan], QuantScheme.int8())
+
+
+def _named_schemes():
+    for name, scheme in sorted(SCHEMES.items()):
+        yield pytest.param(scheme, id=name)
+        if scheme.granularity is Granularity.PER_TOKEN:
+            per_tensor = dataclasses.replace(scheme, granularity=Granularity.PER_TENSOR)
+            yield pytest.param(per_tensor, id=f"{name}-tensor")
+
+
+class TestCodeFormat:
+    @pytest.mark.parametrize("scheme", list(_named_schemes()))
+    def test_codes_are_integer_valued_float32_in_range(self, scheme):
+        x = np.random.default_rng(21).standard_normal((3, 4, 16)) * np.array([[1e-3], [1.0], [1e3], [0.0]])
+        codes = quantize(x, scheme).codes
+        lo, hi = CODE_RANGES[scheme.kind]
+        assert codes.dtype == np.float32 and codes.shape == x.shape
+        assert np.array_equal(codes, np.round(codes))
+        assert lo <= codes.min() and codes.max() <= hi
+
+    @pytest.mark.parametrize(
+        "scheme", [s for s in SCHEMES.values() if s.granularity is Granularity.PER_TOKEN]
+    )
+    def test_per_token_scheme_rejects_a_scalar(self, scheme):
+        with pytest.raises(ValueError, match="per-tensor"):
+            quantize(np.array(3.0), scheme)
+        q = quantize(np.array(3.0), dataclasses.replace(scheme, granularity=Granularity.PER_TENSOR))
+        assert q.codes.shape == () and q.scales.shape == ()
 
 
 @pytest.fixture(scope="module")

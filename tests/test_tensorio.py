@@ -1,13 +1,15 @@
 """Binary tensor blocks, quantized-tensor blocks, and checkpoints round-trip
 with f32 value storage and byte-reproducible output."""
 
+import dataclasses
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from ternact.model import ModelConfig, Stage, TransformerModel
-from ternact.quantcore import Granularity, QuantScheme, quantize
+from ternact.quantcore import SCHEMES, Granularity, QuantScheme, quantize
 from ternact.tensorio import (
     FormatError,
     load_checkpoint,
@@ -93,6 +95,36 @@ class TestQuantizedTensor:
         np.testing.assert_array_equal(
             out.scales, np.asarray(q.scales).astype(np.float32).astype(np.float64)
         )
+
+    # sha256 of the .q48 block of one fixed tensor, per scheme and
+    # granularity; the bytes stay those of the int8/uint8 code format
+    Q48_SHA256 = {
+        ("fp4", "per_token"): "9538e14e8eac2150830cf4cde11471e9f77431499dcbb427f54e7eeb46f5d768",
+        ("fp4", "per_tensor"): "02f4ac9730457eb4683102af67af26334806f3af4edd16d1c217f004ca8325e8",
+        ("int4", "per_token"): "16a429878d2276d7b7b614908cf74c474880e6caa2ca0bcf411f202bc0625b47",
+        ("int4", "per_tensor"): "308b70285548ea4d752d441af97e17ca058c2f17bbfdd0867ff980495c9c0f0e",
+        ("int4x2", "per_token"): "41288e16f9574fa47b18f2c89ab1ac3c87bbfa09d89597a6f2a5d458dcb4c866",
+        ("int4x2", "per_tensor"): "e465537c5f7feefc4d7b3d51ce2b5afc2b16da25d840d5c307d2661af29ad46d",
+        ("int8", "per_token"): "e41cfba8eec7da656c2194d285ce053a2237d273db1721eb5130663cb7685156",
+        ("int8", "per_tensor"): "5408b8d845218bfa3028fd4704d6c2b97772f3a4e5d634ce476117bc25794786",
+        ("ternary", "per_tensor"): "500fa58d8c980d4f1479d16c47759ee5cc6fc43042f6dacde3e9d92fa6e5ade0",
+        ("unsigned3", "per_token"): "914ebe89fbc0fc533ccb9c2c3b3c3dc8276d36f73670f25b8206b79c2770550a",
+        ("unsigned3", "per_tensor"): "da006832af30c8a8e29cd9ee08534f05e2062c7df64fc2169f48fc35b4f411b9",
+        ("unsigned4", "per_token"): "5935dc4fa41baf8990f7c32a26975337b9cc2e99973e71c1725cff597b9c7e10",
+        ("unsigned4", "per_tensor"): "17fa202186b31de2ee2a3f1e109d3b22186c7ce0ccac52eadbc74f4fb5190f97",
+    }
+
+    @pytest.mark.parametrize(
+        "name,granularity", sorted(Q48_SHA256), ids=[f"{n}-{g}" for n, g in sorted(Q48_SHA256)]
+    )
+    def test_block_bytes_are_stable(self, name, granularity):
+        x = np.random.default_rng(48).standard_normal((3, 4, 16)) * np.array([[1e-3], [1.0], [1e3], [0.0]])
+        scheme = dataclasses.replace(SCHEMES[name], granularity=Granularity(granularity))
+        buf = io.BytesIO()
+        write_quantized(buf, quantize(x, scheme))
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == self.Q48_SHA256[name, granularity]
+        buf.seek(0)
+        np.testing.assert_array_equal(read_quantized(buf).codes, quantize(x, scheme).codes)
 
     def test_dense_reader_rejects_quantized_block(self):
         q = quantize(np.ones((2, 4)), QuantScheme.int8())
