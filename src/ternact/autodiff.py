@@ -6,7 +6,7 @@ topological order and accumulates gradients into every upstream ``Var``.
 Quantizers and the top-K mask are non-differentiable, so the ops that apply
 them (``bitlinear`` here, the attention core in ``layers``) register
 straight-through adjoints: the gradient passes each quantizer unchanged, and
-the mask either gates the gradient or is bypassed, controlled per call site.
+the mask gates it.
 ``softmax`` and ``rope`` are array functions those adjoints are written
 around.
 
@@ -330,7 +330,6 @@ def bitlinear(
     w: Var,
     xin: InputCodes | None,
     weight_scheme: QuantScheme | None = None,
-    mask_in_adjoint: bool = True,
 ) -> Var:
     """Fused quantized projection y = fq(x) @ fq_w(w).T with STE adjoints.
 
@@ -340,10 +339,10 @@ def bitlinear(
     independent of summation order (every partial sum is an exact small
     integer), so a column-subset evaluation is bit-identical to the dense one.
 
-    STE: dx is the upstream gradient times the dequantized weight (gated by
-    the top-K mask unless ``mask_in_adjoint`` is off); dw is the upstream
-    gradient times the dequantized, masked input. Both operands are
-    dequantized only when the adjoint or a non-code product needs them.
+    STE: dx is the upstream gradient times the dequantized weight, gated by
+    the top-K mask; dw is the upstream gradient times the dequantized, masked
+    input. Both operands are dequantized only when the adjoint or a non-code
+    product needs them.
     """
     x, w = as_var(x), as_var(w)
     xv, wv = x.value, w.value
@@ -369,7 +368,7 @@ def bitlinear(
 
     def backward(g):
         dx = g @ fq_weights()
-        if xin is not None and xin.mask is not None and mask_in_adjoint:
+        if xin is not None and xin.mask is not None:
             dx = dx * xin.mask
         g2 = g.reshape(-1, wv.shape[0])
         dw = g2.T @ fq_input().reshape(-1, wv.shape[1])

@@ -369,7 +369,15 @@ def cmd_gradcheck(cfg: dict, args) -> int:
     return 0 if report.passed else 2
 
 
+def _check_at_least_one(args, *names: str) -> None:
+    """Reject a report flag below 1 before anything loads."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name} must be at least 1, got {getattr(args, name)}")
+
+
 def cmd_sparsity(cfg: dict, args) -> int:
+    _check_at_least_one(args, "batches")
     model, extra = _load_model(args.checkpoint)
     stream = _eval_stream(cfg, model, extra)
     report = sparsity_report(model, stream, n_batches=args.batches)
@@ -386,6 +394,7 @@ def cmd_sparsity(cfg: dict, args) -> int:
 
 
 def cmd_hist(cfg: dict, args) -> int:
+    _check_at_least_one(args, "bins", "batches")
     model, extra = _load_model(args.checkpoint)
     stream = _eval_stream(cfg, model, extra)
     hist = activation_histogram(
@@ -400,6 +409,7 @@ def cmd_hist(cfg: dict, args) -> int:
 
 
 def cmd_kv_eval(cfg: dict, args) -> int:
+    _check_at_least_one(args, "batches")
     model, extra = _load_model(args.checkpoint)
 
     def ppl(kv_bits: int, q_bits: int) -> float:
@@ -450,6 +460,8 @@ def cmd_quant(cfg: dict, args) -> int:
         raise ConfigError(f"tensor file not found: {args.tensor}")
     except FormatError as e:
         raise ConfigError(f"unreadable tensor {args.tensor}: {e}")
+    if not np.isfinite(x).all():
+        raise ConfigError(f"tensor {args.tensor} holds NaN or infinity")
     scheme = SCHEMES[args.scheme]
     if args.per_tensor:
         scheme = dataclasses.replace(scheme, granularity=Granularity.PER_TENSOR)

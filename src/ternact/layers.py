@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .quantcore import NonFiniteValueError, QuantScheme, fake_quant, unsigned_codes, unsigned_values
+from .quantcore import QuantScheme, fake_quant, unsigned_codes, unsigned_values
 from .sparsify import gate_active_channels, measure_sparsity
 
 VALID_KV_BITS = (3, 4, 8)
@@ -196,15 +196,13 @@ def kv_codes(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> tuple[n
     dequantize through ``unsigned_values``. Each position's codes equal
     ``quantize`` under ``QuantScheme.unsigned(kv_code_bits(position,
     kv_bits))``. The attention fake-quant and the cache store both quantize
-    through here. kv_bits=8 is raw, so the caller should not get here.
+    through here. kv_bits=8 is raw, so the caller should not get here. Like
+    ``quantize``, a pure map: a NaN or inf makes its group non-finite.
     """
     if kv_bits not in (3, 4):
         raise ValueError(f"kv fake-quant expects 3 or 4 bits, got {kv_bits}")
     values = np.asarray(values, dtype=np.float64)
     scales = np.max(np.abs(values), axis=-1, keepdims=True)
-    # a group's absmax is NaN or inf exactly when one of its entries is
-    if not np.all(np.isfinite(scales)):
-        raise NonFiniteValueError("K/V heads contain non-finite values")
     return unsigned_codes(values, scales, kv_levels(positions, kv_bits)), scales
 
 

@@ -32,6 +32,10 @@ from .layers import (
 from .quantcore import SCHEMES, QuantScheme
 
 
+class NonFiniteValueError(ValueError):
+    """A block of the forward produced NaN or infinity."""
+
+
 class Stage(str, Enum):
     STAGE1 = "stage1"
     STAGE2 = "stage2"
@@ -202,7 +206,8 @@ def model_forward(model: TransformerModel, tokens: np.ndarray, caches: list[KvCa
 
     With ``caches``, one ``KvCache`` per block, ``tokens`` continue the
     positions the caches hold, and attention reads the earlier positions
-    from them (inference only, see ``attention_forward``)."""
+    from them (inference only, see ``attention_forward``). A block whose
+    output holds NaN or inf raises ``NonFiniteValueError`` naming it."""
     cfg = model.config
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -216,7 +221,7 @@ def model_forward(model: TransformerModel, tokens: np.ndarray, caches: list[KvCa
     if past + tokens.shape[1] > cfg.seq_len:
         raise ValueError(f"sequence length {past + tokens.shape[1]} exceeds seq_len {cfg.seq_len}")
     x = ad.embedding(model.embedding, tokens)
-    for blk, cache in zip(model.blocks, caches):
+    for i, (blk, cache) in enumerate(zip(model.blocks, caches)):
         attn = attention_forward(
             ad.rmsnorm(x, blk.attn_norm),
             blk.qkv,
@@ -235,6 +240,8 @@ def model_forward(model: TransformerModel, tokens: np.ndarray, caches: list[KvCa
             activation=cfg.activation,
         )
         x = ad.add(x, ffn)
+        if not np.isfinite(x.value).all():  # the forward's one check: quantizers pass NaN/inf
+            raise NonFiniteValueError(f"block {i} output is not finite")
     x = ad.rmsnorm(x, model.final_norm)
     return ad.linear(x, model.head)
 

@@ -4,6 +4,8 @@
 float tensor to integer-valued float32 codes plus real scales and back;
 projections, reports and ``.q48`` files read those codes as they are, and the
 KV cache quantizes through the same unsigned core, ``unsigned_codes``.
+No quantizer scans for NaN or inf: one gives its group a non-finite scale,
+and ``model.model_forward``'s per-block check stops it.
 Weights quantize with one scale per tensor; activations default to one scale
 per token row, where the trailing axis is the feature axis. All rounding is
 round-half-away-from-zero.
@@ -123,19 +125,6 @@ class QuantizedTensor:
     scheme: QuantScheme
 
 
-class NonFiniteValueError(ValueError):
-    """A quantizer input holds NaN or infinity."""
-
-
-def _as_checked_array(x, name: str = "input") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValueError(f"{name} contains non-finite values")
-    return arr
-
-
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
@@ -189,7 +178,9 @@ def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
     255 in magnitude, so float32 holds each exactly): projections multiply
     them directly, which keeps every contraction exact integer arithmetic.
     """
-    arr = _as_checked_array(x)
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("input is empty")
     granularity = scheme.granularity
     if granularity is Granularity.PER_TOKEN and arr.ndim == 0:
         raise ValueError("a per-token scheme needs a feature axis; quantize a 0-d tensor "
@@ -211,8 +202,9 @@ def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
         scales = (6.0 * (_group_abs(np.max, arr, granularity) / 6.0)) / 6.0
         mag = np.abs(arr) / _expand(np.where(scales > 0.0, scales, 1.0), granularity)
         # side='right' sends exact midpoints to the larger magnitude, matching
-        # round-half-away elsewhere.
-        codes = np.sign(arr) * np.searchsorted(_E2M1_MIDPOINTS, mag, side="right")
+        # round-half-away elsewhere. Not np.sign: a NaN takes a finite code,
+        # which the consumers index by, and the group's NaN scale carries it.
+        codes = np.where(arr < 0.0, -1.0, 1.0) * np.searchsorted(_E2M1_MIDPOINTS, mag, side="right")
     elif kind is SchemeKind.UNSIGNED_ABSMAX:
         scales = _group_abs(np.max, arr, granularity)
         codes = unsigned_codes(arr, _expand(scales, granularity), float(2**scheme.bits - 1))

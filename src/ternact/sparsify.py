@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantcore import _as_checked_array
-
 
 @dataclass(frozen=True)
 class TopKMask:
@@ -35,7 +33,7 @@ def kept_count(width: int, k_fraction: float) -> int:
 
 def topk_mask(x, k_fraction: float) -> TopKMask:
     """Keep the largest-magnitude entries of each row along the last axis."""
-    x = _as_checked_array(x)
+    x = np.asarray(x, dtype=np.float64)
     width = x.shape[-1]
     kept = kept_count(width, k_fraction)
     if kept >= width:

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .layers import attention_core, causal_mask, kv_fake_quant_values
-from .model import Stage, TransformerModel, configure_identity, configure_stage, model_forward
-from .quantcore import NonFiniteValueError, QuantScheme, fake_quant
+from .model import NonFiniteValueError, Stage, TransformerModel, model_forward
+from .model import configure_identity, configure_stage
+from .quantcore import QuantScheme, fake_quant
 from .sparsify import topk_mask
 
 ADAM_BETAS = (0.9, 0.95)
@@ -44,8 +45,16 @@ class TrainerConfig:
     def __post_init__(self):
         if not 0.0 < self.stage_split < 1.0:
             raise ValueError("stage_split must be in (0, 1)")
-        if self.peak_lr <= 0.0 or self.second_stage_lr <= 0.0:
-            raise ValueError("learning rates must be positive")
+        for name in ("peak_lr", "second_stage_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
+        for name in ("wd_first", "wd_second"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and at least 0, got {value}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be at least 0, got {self.warmup_steps}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be positive")
 
@@ -162,10 +171,10 @@ def train_step(
     step: int,
 ) -> tuple[float, float]:
     """One forward/backward/update. Returns (loss, pre-clip grad norm); a
-    non-finite loss or gradient norm, or a non-finite value reaching a
-    quantizer in the forward, skips the update, leaving the weights, the
-    moments and the optimizer step as they were, and is reported, not
-    raised."""
+    non-finite loss or gradient norm, or a non-finite block output in the
+    forward (``NonFiniteValueError``), skips the update, leaving the
+    weights, the moments and the optimizer step as they were, and is
+    reported, not raised."""
     inputs, targets = batch
     params = model.named_parameters()
     for p in params.values():
@@ -282,8 +291,8 @@ def ste_contract(rng: np.random.Generator) -> tuple[bool, bool]:
     for bit, the adjoint of the unquantized attention evaluated at the
     fake-quantized rotated heads. ``bitlinear`` under every input scheme must
     give dx = g @ fq(w) and dw = g^T @ fq(x) bit for bit. With top-K on, dw
-    sees the masked input, and dx is gated by the mask unless
-    ``mask_in_adjoint`` is off. Returns (pass-through ok, top-K gating ok).
+    sees the masked input and dx is gated by the mask. Returns
+    (pass-through ok, top-K gating ok).
     """
     b, t, n_heads, hd = 2, 5, 2, 4
     qkv = rng.standard_normal((b, t, 3 * n_heads * hd))
@@ -316,18 +325,15 @@ def ste_contract(rng: np.random.Generator) -> tuple[bool, bool]:
     mask = topk_mask(x, k_fraction).mask
     topk_ok = True
     for scheme in BITLINEAR_INPUTS:
-        for k, gated in ((None, False), (k_fraction, True), (k_fraction, False)):
+        for k in (None, k_fraction):
             xv = ad.Var(x)
             w.zero_grad()
-            y = ad.bitlinear(xv, w, ad.input_codes(x, scheme, k), ternary, mask_in_adjoint=gated)
+            y = ad.bitlinear(xv, w, ad.input_codes(x, scheme, k), ternary)
             g = rng.standard_normal(y.shape)
             ad.vsum(ad.mul(y, ad.Var(g))).backward()
-            fqx = fake_quant(x, scheme)
+            fqx, dx = fake_quant(x, scheme), g @ fqw
             if k is not None:
-                fqx = fqx * mask
-            dx = g @ fqw
-            if gated:
-                dx = dx * mask
+                fqx, dx = fqx * mask, dx * mask
             ok = np.array_equal(xv.grad, dx) and np.array_equal(w.grad, g.T @ fqx)
             if k is None:
                 identity_ok = identity_ok and ok

@@ -243,18 +243,12 @@ class TestSteOps:
         xv = RNG.standard_normal((4, 8))
         w = ad.Var(RNG.standard_normal((3, 8)))
         upv = RNG.standard_normal((4, 3))
-        grads = {}
-        for flag in (True, False):
-            x = ad.Var(xv)
-            out = ad.bitlinear(
-                x, w, ad.input_codes(xv, QuantScheme.int8(), 0.5),
-                QuantScheme.ternary(), mask_in_adjoint=flag,
-            )
-            ad.vsum(ad.mul(out, ad.Var(upv))).backward()
-            grads[flag] = x.grad
+        x = ad.Var(xv)
+        out = ad.bitlinear(x, w, ad.input_codes(xv, QuantScheme.int8(), 0.5), QuantScheme.ternary())
+        ad.vsum(ad.mul(out, ad.Var(upv))).backward()
         mask = topk_mask(xv, 0.5).mask
-        np.testing.assert_array_equal(grads[True], grads[False] * mask)
-        assert np.all(grads[True][~mask] == 0.0)
+        np.testing.assert_array_equal(x.grad, (upv @ fake_quant(w.value, QuantScheme.ternary())) * mask)
+        assert np.all(x.grad[~mask] == 0.0)
 
     def test_bitlinear_records_sparsity(self):
         from ternact.layers import BitLinearLayer, Probe, Site, bitlinear_forward, probing
@@ -420,21 +414,23 @@ class TestWeightCodeCache:
         gc.collect()
         assert old() is None
 
-    def test_nan_latent_weight_raises_on_cold_cache(self):
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_latent_weight_gives_a_non_finite_projection_on_cold_cache(self):
         w = ad.Var(RNG.standard_normal((4, 8)))
         w.value[1, 2] = np.nan
-        with ad.no_grad(), pytest.raises(ValueError):
-            self._project(RNG.standard_normal((3, 8)), w)
+        with ad.no_grad():
+            assert not np.isfinite(self._project(RNG.standard_normal((3, 8)), w)).any()
 
-    def test_nan_rebinding_after_a_warm_cache_raises(self):
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_rebinding_after_a_warm_cache_is_not_served_stale(self):
+        # stale codes from the warm cache would give a finite projection
         w = ad.Var(RNG.standard_normal((4, 8)))
         with ad.no_grad():
             self._project(RNG.standard_normal((3, 8)), w)
             poisoned = w.value.copy()
             poisoned[0, 0] = np.nan
             w.value = poisoned
-            with pytest.raises(ValueError):
-                self._project(RNG.standard_normal((3, 8)), w)
+            assert not np.isfinite(self._project(RNG.standard_normal((3, 8)), w)).any()
 
 
 class TestCodeMatmul:

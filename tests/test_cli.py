@@ -152,6 +152,29 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "extra, key",
+        [
+            (["--peak-lr", "nan"], "peak_lr"),
+            (["--peak-lr", "inf"], "peak_lr"),
+            (["--warmup-steps", "-3"], "warmup_steps"),
+            ('{"second_stage_lr": Infinity}', "second_stage_lr"),
+            ('{"wd_first": -0.1}', "wd_first"),
+            ('{"wd_second": NaN}', "wd_second"),
+        ],
+        ids=["peak-lr-nan", "peak-lr-inf", "warmup-negative", "second-stage-lr-inf",
+             "wd-first-negative", "wd-second-nan"],
+    )
+    def test_bad_rate_or_warmup_rejected_before_writing(self, tmp_path, capsys, extra, key):
+        if isinstance(extra, str):  # a config file: JSON reads NaN and Infinity
+            (tmp_path / "c.json").write_text(extra)
+            extra = ["--config", str(tmp_path / "c.json")]
+        out = tmp_path / "run"
+        assert run_train(out, "--steps", "2", *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "binding",
         [
             {"ffn": {"scheme": "int4", "k": None}},
@@ -428,7 +451,9 @@ class TestQuant:
         )
 
 
-@pytest.mark.parametrize("command", ["sparsity", "hist", "kv-eval", "quant", "quant-empty"])
+@pytest.mark.parametrize(
+    "command", ["sparsity", "hist", "kv-eval", "quant", "quant-empty", "quant-nan", "quant-inf"]
+)
 def test_bad_input_leaves_no_out_dir(tmp_path, capsys, command):
     out = tmp_path / "x" / "out"
     missing = str(tmp_path / "missing.ckpt")
@@ -438,11 +463,30 @@ def test_bad_input_leaves_no_out_dir(tmp_path, capsys, command):
         "kv-eval": ["kv-eval", "--checkpoint", missing],
         "quant": ["quant", "--tensor", str(tmp_path / "missing.ba48"), "--scheme", "int8"],
         "quant-empty": ["quant", "--tensor", str(tmp_path / "empty.ba48"), "--scheme", "int8"],
+        "quant-nan": ["quant", "--tensor", str(tmp_path / "nan.ba48"), "--scheme", "int8"],
+        "quant-inf": ["quant", "--tensor", str(tmp_path / "inf.ba48"), "--scheme", "int8"],
     }[command]
     save_tensor(tmp_path / "empty.ba48", np.zeros((0, 4)))
+    for bad in (np.nan, np.inf):
+        save_tensor(tmp_path / f"{bad}.ba48", np.array([[1.0, bad], [2.0, 3.0]]))
     assert main([*argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("hist", "--bins", "0"), ("hist", "--batches", "0"), ("hist", "--bins", "-2"),
+     ("sparsity", "--batches", "0"), ("kv-eval", "--batches", "0")],
+)
+def test_bad_report_flag_names_the_flag(trained_dir, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = [command, "--checkpoint", str(trained_dir / "final.ckpt"), "--out-dir", str(out), flag, value]
+    if command == "hist":
+        argv += ["--site", "qkv"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be at least 1")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

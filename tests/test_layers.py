@@ -22,7 +22,7 @@ from ternact.layers import (
     relu2glu,
     relu2glu_gate_first,
 )
-from ternact.quantcore import NonFiniteValueError, QuantScheme, dequantize, fake_quant, quantize
+from ternact.quantcore import QuantScheme, dequantize, fake_quant, quantize
 from ternact.sparsify import measure_sparsity
 
 RNG = np.random.default_rng(2024)
@@ -216,12 +216,21 @@ class TestKvCodeBits:
             np.testing.assert_array_equal(codes[..., t, :], q.codes)
             np.testing.assert_array_equal(scales[..., t, 0], q.scales)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_heads_rejected(self, bad):
+    def test_non_finite_head_stays_non_finite(self, bad):
+        # kv_codes does not reject NaN or inf: the head-position group that
+        # holds one reads back non-finite, from the fake-quant and from the
+        # cache, and every other group is as it would be without it
         kv = RNG.standard_normal((2, 3, 8))
+        clean = kv_fake_quant_values(kv, 3, np.arange(3))
         kv[1, 2, 5] = bad
-        with pytest.raises(NonFiniteValueError):
-            kv_codes(kv, 3, np.arange(3))
+        cache = KvCache(3)
+        cache.extend(kv[0], kv[1])
+        for got in (kv_fake_quant_values(kv, 3, np.arange(3)), cache.read()):
+            assert not np.isfinite(got[1, 2]).any()
+            got[1, 2] = clean[1, 2]
+            np.testing.assert_array_equal(got, clean)
 
 
 class TestKvQuant:

@@ -10,6 +10,7 @@ from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
 from ternact.layers import KvCache, Probe, Site, probing
 from ternact.model import (
     ModelConfig,
+    NonFiniteValueError,
     Stage,
     TransformerModel,
     configure_identity,
@@ -246,6 +247,30 @@ class TestForward:
         model = TransformerModel(tiny_config(), seed=0)
         with pytest.raises(ValueError, match=name):
             greedy_decode(model, prompt, n_new)
+
+
+class TestNonFiniteBlock:
+    """``model_forward`` checks each block's output once; the quantizers in
+    between pass a NaN or inf through, so the forward stops at the block
+    where it entered, and names it."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+    @pytest.mark.parametrize("fp4_mode", [False, True], ids=["int4", "fp4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_poisoned_block_is_named(self, bad, fp4_mode):
+        config = tiny_config(n_layers=3, stage=Stage.STAGE2, kv_bits=3, q_bits=4, fp4_mode=fp4_mode)
+        model = TransformerModel(config, seed=0)
+        model.blocks[1].qkv.latent_weights.value[0, 0] = bad
+        tokens = np.random.default_rng(0).integers(0, 32, (2, 6))
+        with pytest.raises(NonFiniteValueError, match="block 1"):
+            model_forward(model, tokens)
+        with ad.no_grad():
+            with pytest.raises(NonFiniteValueError, match="block 1"):
+                model_forward(model, tokens)
+            with probing(Probe()), pytest.raises(NonFiniteValueError, match="block 1"):
+                model_forward(model, tokens)
+        with pytest.raises(NonFiniteValueError, match="block 1"):
+            greedy_decode(model, tokens[:, :3], 4)
 
 
 class TestProbe:

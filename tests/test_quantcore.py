@@ -16,7 +16,6 @@ from ternact.quantcore import (
     E2M1_GRID,
     SCHEMES,
     Granularity,
-    NonFiniteValueError,
     QuantScheme,
     SchemeKind,
     SQRT7,
@@ -58,14 +57,14 @@ class TestRoundClip:
         q = quantize(x, QuantScheme.int8(Granularity.PER_TENSOR))
         assert np.array_equal(q.codes, [[3, 0], [9, -127]])
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_passes_through(self):
+        # quantize does not reject NaN or inf: the scale carries it (the
+        # model's per-block check stops it, see test_model)
         for scheme in (QuantScheme.int8(), QuantScheme.ternary(), QuantScheme.unsigned(3)):
-            with pytest.raises(NonFiniteValueError):
-                quantize([1.0, np.nan], scheme)
-            with pytest.raises(NonFiniteValueError):
-                quantize([np.inf], scheme)
-            with pytest.raises(NonFiniteValueError):
-                fake_quant([-np.inf, 0.0], scheme)
+            assert np.isnan(quantize([1.0, np.nan], scheme).scales)
+            assert np.isinf(quantize([np.inf], scheme).scales)
+            assert not np.isfinite(fake_quant([-np.inf, 0.0], scheme)).any()
 
 
 class TestTernary:
@@ -342,9 +341,22 @@ class TestFakeQuant:
         for scheme in (QuantScheme.int8(), QuantScheme.int4(), QuantScheme.fp4(), QuantScheme.unsigned(3)):
             assert np.array_equal(fake_quant(x, scheme), dequantize(quantize(x, scheme)))
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            fake_quant([np.nan], QuantScheme.int8())
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_group_stays_non_finite(self):
+        # a NaN or inf makes its whole scaling group non-finite and leaves
+        # every other group as it would be without it
+        rng = np.random.default_rng(4)
+        for bad in (np.nan, np.inf, -np.inf):
+            x = rng.standard_normal((3, 8))
+            x[1, 5] = bad
+            for name, scheme in SCHEMES.items():
+                got = fake_quant(x, scheme)
+                if scheme.granularity is Granularity.PER_TENSOR:
+                    assert not np.isfinite(got).any(), name
+                    continue
+                assert not np.isfinite(got[1]).any(), name
+                clean = fake_quant(np.delete(x, 1, axis=0), scheme)
+                np.testing.assert_array_equal(np.delete(got, 1, axis=0), clean, err_msg=name)
 
 
 def _named_schemes():

@@ -104,9 +104,19 @@ class TestTopkMask:
         b = topk_mask(x.copy(), 0.37)
         assert np.array_equal(a.mask, b.mask)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            topk_mask([1.0, np.nan], 0.5)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_stays_non_finite(self, bad):
+        # the mask does not reject NaN or inf; the masked input row stays
+        # non-finite everywhere (NaN x 0 is NaN) and the other rows are as
+        # they would be without it
+        x = np.random.default_rng(6).standard_normal((3, 8))
+        clean = sparsify_then_quantize(x, 0.5)
+        x[1, 5] = bad
+        assert topk_mask(x, 0.5).mask.shape == x.shape
+        got = sparsify_then_quantize(x, 0.5)
+        assert not np.isfinite(got[1]).any()
+        np.testing.assert_array_equal(got[[0, 2]], clean[[0, 2]])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ import pytest
 
 from ternact import autodiff as ad
 from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
-from ternact.model import ModelConfig, Stage, TransformerModel, model_forward
-from ternact.quantcore import NonFiniteValueError, QuantScheme, SchemeKind, fake_quant
+from ternact.model import ModelConfig, NonFiniteValueError, Stage, TransformerModel, model_forward
+from ternact.quantcore import QuantScheme, SchemeKind, fake_quant
 from ternact.sparsify import topk_mask
 from ternact.train import (
     BITLINEAR_INPUTS,
@@ -107,6 +107,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TrainerConfig(total_steps=0)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("peak_lr", math.nan), ("peak_lr", math.inf), ("peak_lr", 0.0),
+         ("second_stage_lr", math.inf), ("second_stage_lr", -1e-3),
+         ("wd_first", math.nan), ("wd_first", -0.1), ("wd_second", math.inf),
+         ("warmup_steps", -3)],
+    )
+    def test_bad_rate_or_warmup_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainerConfig(**{key: value})
+
 
 class TestAdamW:
     def test_single_step_hand_oracle(self):
@@ -163,10 +174,9 @@ class TestSteBackward:
     """The straight-through contract, checked through the live adjoints."""
 
     @staticmethod
-    def _bitlinear_grads(x, w, scheme, k, gated):
+    def _bitlinear_grads(x, w, scheme, k):
         xv, wv = ad.Var(x), ad.Var(w)
-        y = ad.bitlinear(xv, wv, ad.input_codes(x, scheme, k), QuantScheme.ternary(),
-                         mask_in_adjoint=gated)
+        y = ad.bitlinear(xv, wv, ad.input_codes(x, scheme, k), QuantScheme.ternary())
         g = np.random.default_rng(5).standard_normal(y.shape)
         ad.vsum(ad.mul(y, ad.Var(g))).backward()
         return g, xv.grad, wv.grad
@@ -176,7 +186,7 @@ class TestSteBackward:
         x, w = rng.standard_normal((2, 3, 8)), rng.standard_normal((5, 8))
         fqw = fake_quant(w, QuantScheme.ternary())
         for scheme in BITLINEAR_INPUTS:
-            g, dx, dw = self._bitlinear_grads(x, w, scheme, None, True)
+            g, dx, dw = self._bitlinear_grads(x, w, scheme, None)
             np.testing.assert_array_equal(dx, g @ fqw)
             np.testing.assert_array_equal(dw, g.reshape(-1, 5).T @ fake_quant(x, scheme).reshape(-1, 8))
 
@@ -185,13 +195,10 @@ class TestSteBackward:
         x, w = rng.standard_normal((4, 10)), rng.standard_normal((3, 10))
         mask = topk_mask(x, 0.5).mask
         for scheme in BITLINEAR_INPUTS:
-            for gated in (True, False):
-                g, dx, dw = self._bitlinear_grads(x, w, scheme, 0.5, gated)
-                dense = g @ fake_quant(w, QuantScheme.ternary())
-                np.testing.assert_array_equal(dx, dense * mask if gated else dense)
-                np.testing.assert_array_equal(dw, g.T @ (fake_quant(x, scheme) * mask))
-                if gated:
-                    assert np.all(dx[~mask] == 0.0)
+            g, dx, dw = self._bitlinear_grads(x, w, scheme, 0.5)
+            np.testing.assert_array_equal(dx, (g @ fake_quant(w, QuantScheme.ternary())) * mask)
+            np.testing.assert_array_equal(dw, g.T @ (fake_quant(x, scheme) * mask))
+            assert np.all(dx[~mask] == 0.0)
 
     def test_contract_check_passes(self):
         assert ste_contract(np.random.default_rng(3)) == (True, True)
