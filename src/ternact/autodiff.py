@@ -15,6 +15,7 @@ Inside ``no_grad()`` ops compute values only and record nothing.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -179,47 +180,77 @@ def rmsnorm(x: Var, gain: Var, eps: float = 1e-6) -> Var:
     x, gain = as_var(x), as_var(gain)
     xv = x.value
     n = xv.shape[-1]
-    r = np.sqrt(np.mean(xv * xv, axis=-1, keepdims=True) + eps)
+    r = np.add.reduce(xv * xv, axis=-1, keepdims=True)
+    r /= n
+    r += eps
+    np.sqrt(r, out=r)
     xhat = xv / r
     gv = gain.value
 
     def backward(g):
         gg = g * gv
-        dx = gg / r - xv * np.sum(gg * xv, axis=-1, keepdims=True) / (n * r**3)
-        dgain = np.sum(g * xhat, axis=tuple(range(g.ndim - 1)))
+        dx = gg / r - xv * np.add.reduce(gg * xv, axis=-1, keepdims=True) / (n * r**3)
+        dgain = np.add.reduce(g * xhat, axis=tuple(range(g.ndim - 1)))
         return dx, dgain
 
     return Var(xhat * gv, (x, gain), backward)
 
 
 def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = a - np.max(a, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = a - np.maximum.reduce(a, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 # Rotary embedding base: pair i of a head turns by pos * ROPE_BASE^(-2i/d).
 ROPE_BASE = 10000.0
+# Positions the first rotary table of a head size covers; a later position
+# grows it to the next power of two.
+_ROPE_MIN_POSITIONS = 64
+
+
+@functools.cache
+def _rope_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rotary factors of positions [0, n) for head size d, read-only: an
+    (n, d) table with the cos of each pair's angle on both entries of the
+    pair, and an (n, d/2) table of the sines."""
+    freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
+    angles = np.arange(n, dtype=np.float64)[:, None] * freqs[None, :]
+    table = np.repeat(np.cos(angles), 2, axis=-1), np.sin(angles)
+    for t in table:
+        t.flags.writeable = False
+    return table
 
 
 def _rotate(v: np.ndarray, positions: np.ndarray, sign: float) -> np.ndarray:
+    # pair (e, o) turns into (e*cos - o*sin, o*cos + e*sin), or by the
+    # opposite angle for sign -1. The cos product runs over whole rows; the
+    # sin products update the two strided halves in place.
     d = v.shape[-1]
     if d % 2 != 0:
         raise ValueError(f"rope requires an even head_dim, got {d}")
-    freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
-    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    cos, sin = np.cos(angles), sign * np.sin(angles)
+    positions = np.asarray(positions)
+    top = int(positions.max()) + 1
+    n = _ROPE_MIN_POSITIONS if top <= _ROPE_MIN_POSITIONS else 1 << (top - 1).bit_length()
+    cos, sin = _rope_table(d, n)
+    sin = sin[positions]
+    out = v * cos[positions]
     even, odd = v[..., 0::2], v[..., 1::2]
-    out = np.empty_like(v)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    if sign > 0:
+        out[..., 0::2] -= odd * sin
+        out[..., 1::2] += even * sin
+    else:
+        out[..., 0::2] += odd * sin
+        out[..., 1::2] -= even * sin
     return out
 
 
 def rope(v: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Rotate interleaved pairs of the last axis by pos * ROPE_BASE^(-2i/d).
 
-    Expects (..., T, head_dim) with an even head_dim; positions has length T.
+    Expects (..., T, head_dim) with an even head_dim; positions holds T
+    nonnegative integers, in any order.
     """
     return _rotate(v, positions, 1.0)
 

@@ -25,6 +25,8 @@ from .sparsify import gate_active_channels, measure_sparsity
 
 VALID_KV_BITS = (3, 4, 8)
 VALID_Q_BITS = (4, 16)
+# the query quantizer under q_bits=4
+_Q4 = QuantScheme.unsigned(4)
 
 
 def check_bit_widths(kv_bits: int, q_bits: int) -> None:
@@ -109,13 +111,16 @@ def probing(probe: Probe):
         _PROBE = prev
 
 
-def bitlinear_forward(layer: BitLinearLayer, x) -> Var:
-    """Project x through the layer's quantized weight and input schemes."""
+def bitlinear_forward(layer: BitLinearLayer, x, xin: ad.InputCodes | None = None) -> Var:
+    """Project x through the layer's quantized weight and input schemes.
+
+    ``xin`` is x already quantized under the layer's input scheme and k, for
+    callers that feed one input to several projections; None quantizes here.
+    """
     x = ad.as_var(x)
-    xin = None
-    if layer.input_scheme is not None:
+    if xin is None and layer.input_scheme is not None:
         xin = ad.input_codes(x.value, layer.input_scheme, layer.k_fraction)
-    elif layer.k_fraction is not None:
+    elif layer.input_scheme is None and layer.k_fraction is not None:
         raise ValueError("top-K masking requires a quantizing input scheme")
     if _PROBE is not None:
         _PROBE.record_input(layer.site, x.value, x.value if xin is None else xin.values())
@@ -125,11 +130,17 @@ def bitlinear_forward(layer: BitLinearLayer, x) -> Var:
 def relu2glu(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer, activation: str = "relu2") -> Var:
     """(x @ W_up^T) gated by ReLU^2(x @ W_gate^T), both bitlinear projections.
 
-    ``activation`` admits "silu" for the gating-function ablation.
+    When both take the same input scheme and k, x is quantized once and both
+    projections read those codes. ``activation`` admits "silu" for the
+    gating-function ablation.
     """
     x = ad.as_var(x)
-    up = bitlinear_forward(up_layer, x)
-    gate = bitlinear_forward(gate_layer, x)
+    xin = None
+    scheme = up_layer.input_scheme
+    if scheme is not None and scheme == gate_layer.input_scheme and up_layer.k_fraction == gate_layer.k_fraction:
+        xin = ad.input_codes(x.value, scheme, up_layer.k_fraction)
+    up = bitlinear_forward(up_layer, x, xin)
+    gate = bitlinear_forward(gate_layer, x, xin)
     act = ad.relu2(gate) if activation == "relu2" else ad.silu(gate)
     if _PROBE is not None:
         _PROBE.record_activation(act.value)
@@ -183,7 +194,10 @@ def kv_code_bits(position: int, kv_bits: int) -> int:
 
 def kv_levels(positions: np.ndarray, kv_bits: int) -> np.ndarray:
     """Level count 2^bits - 1 of each absolute position at ``kv_code_bits``,
-    shaped (T, 1) to broadcast against (..., T, head_dim) codes."""
+    shaped (T, 1) to broadcast against (..., T, head_dim) codes. Only a 3-
+    or 4-bit cache quantizes; kv_bits=8 is raw and has no levels."""
+    if kv_bits not in (3, 4):
+        raise ValueError(f"kv quantization expects 3 or 4 bits, got {kv_bits}")
     bos = np.asarray(positions) == 0
     return np.where(bos, 2.0 ** kv_code_bits(0, kv_bits) - 1.0, 2.0**kv_bits - 1.0)[:, None]
 
@@ -195,45 +209,57 @@ def kv_codes(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> tuple[n
     Returns the codes and the scales as (..., T, 1); with ``kv_levels`` they
     dequantize through ``unsigned_values``. Each position's codes equal
     ``quantize`` under ``QuantScheme.unsigned(kv_code_bits(position,
-    kv_bits))``. The attention fake-quant and the cache store both quantize
-    through here. kv_bits=8 is raw, so the caller should not get here. Like
-    ``quantize``, a pure map: a NaN or inf makes its group non-finite.
+    kv_bits))``. The attention fake-quant and the cache store quantize
+    through the same core, with levels they hold. kv_bits=8 is raw and
+    raises ValueError. Like ``quantize``, a pure map: a NaN or inf makes its
+    group non-finite.
     """
-    if kv_bits not in (3, 4):
-        raise ValueError(f"kv fake-quant expects 3 or 4 bits, got {kv_bits}")
+    return _kv_codes(values, kv_levels(positions, kv_bits))
+
+
+def _kv_codes(values: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # kv_codes at the (T, 1) level counts of its positions
     values = np.asarray(values, dtype=np.float64)
-    scales = np.max(np.abs(values), axis=-1, keepdims=True)
-    return unsigned_codes(values, scales, kv_levels(positions, kv_bits)), scales
+    scales = np.maximum.reduce(np.abs(values), axis=-1, keepdims=True)
+    return unsigned_codes(values, scales, levels), scales
 
 
 def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> np.ndarray:
     """Fake-quantize (..., T, head_dim) per head per position at
     ``kv_code_bits`` (see ``kv_codes``)."""
-    return unsigned_values(*kv_codes(values, kv_bits, positions), kv_levels(positions, kv_bits))
+    levels = kv_levels(positions, kv_bits)
+    return unsigned_values(*_kv_codes(values, levels), levels)
 
 
 class KvCache:
     """Append-only store of quantized K/V heads, read back whole by attention
     during incremental decode.
 
-    K and V are stacked in one array, (2, ..., n_heads, len, head_dim), of
-    uint8 codes beside one scale per head per position; kv_bits=8 disables
-    quantization and stores raw values. A read dequantizes the whole stored
-    prefix in one call, each position at ``kv_code_bits``. Appending
-    quantizes what it is given, so K/V that already went through
+    K and V are stacked in one buffer, (2, ..., n_heads, capacity, head_dim),
+    of uint8 codes beside one scale per head per position and one level
+    count per position; kv_bits=8 disables quantization and stores raw
+    values. New positions are written in place after the stored ones, and a
+    full buffer is copied into one of twice the capacity. A read dequantizes
+    the stored prefix in one call, each position at ``kv_code_bits``.
+    Appending quantizes what it is given, so K/V that already went through
     ``kv_fake_quant_values`` at the same positions read back bit-equal
     (unsigned fake-quant is idempotent).
     """
+
+    # positions the first buffer holds, at least
+    MIN_CAPACITY = 16
 
     def __init__(self, kv_bits: int = 8):
         if kv_bits not in VALID_KV_BITS:
             raise ValueError(f"kv_bits must be one of {VALID_KV_BITS}, got {kv_bits}")
         self.kv_bits = kv_bits
+        self._len = 0
         self._kv: np.ndarray | None = None
         self._scales: np.ndarray | None = None
+        self._levels: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return 0 if self._kv is None else self._kv.shape[-2]
+        return self._len
 
     def append(self, k_heads: np.ndarray, v_heads: np.ndarray) -> None:
         """Store one position's (..., n_heads, head_dim) K and V."""
@@ -245,25 +271,47 @@ class KvCache:
         if k.shape != v.shape:
             raise ValueError("K and V head shapes differ")
         if self._kv is not None and k.shape[:-2] + k.shape[-1:] != self._kv.shape[1:-2] + self._kv.shape[-1:]:
-            raise ValueError(f"heads of shape {k.shape} do not match the cached {self._kv.shape[1:]}")
+            cached = (*self._kv.shape[1:-2], self._len, self._kv.shape[-1])
+            raise ValueError(f"heads of shape {k.shape} do not match the cached {cached}")
+        start, end = self._len, self._len + k.shape[-2]
+        if self._kv is None or end > self._kv.shape[-2]:
+            self._grow(k.shape, end)
         kv = np.stack((k, v))
         if self.kv_bits != 8:
-            codes, scales = kv_codes(kv, self.kv_bits, np.arange(len(self), len(self) + k.shape[-2]))
-            kv = codes.astype(np.uint8)
-            self._scales = scales if self._scales is None else np.concatenate((self._scales, scales), axis=-2)
-        self._kv = kv if self._kv is None else np.concatenate((self._kv, kv), axis=-2)
-        # reads at kv8 are views: a new array per extend keeps them snapshots
-        self._kv.flags.writeable = False
+            kv, self._scales[..., start:end, :] = _kv_codes(kv, self._levels[start:end])
+            # a NaN code is stored as 0: uint8 has no NaN, and the group's
+            # NaN scale still reads it back non-finite
+            np.fmax(kv, 0.0, out=kv)
+        self._kv[..., start:end, :] = kv
+        self._len = end
+
+    def _grow(self, shape: tuple[int, ...], end: int) -> None:
+        # move the stored positions into buffers of at least twice the room
+        capacity = max(end, self.MIN_CAPACITY, 0 if self._kv is None else 2 * self._kv.shape[-2])
+        lead = (2, *shape[:-2], capacity)
+        self._kv = self._moved(self._kv, lead + shape[-1:], np.float64 if self.kv_bits == 8 else np.uint8)
+        if self.kv_bits != 8:
+            self._scales = self._moved(self._scales, lead + (1,), np.float64)
+            self._levels = kv_levels(np.arange(capacity), self.kv_bits)
+
+    def _moved(self, old: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+        new = np.empty(shape, dtype=dtype)
+        if old is not None:
+            new[..., : self._len, :] = old[..., : self._len, :]
+        return new
 
     def read(self) -> np.ndarray:
         """Dequantized keys and values in one call, stacked as (2, ...,
         n_heads, T, head_dim); at kv_bits=8 a read-only view of the stored
-        values."""
-        if self._kv is None:
+        values, which later appends never write."""
+        if not self._len:
             raise ValueError("empty cache")
+        n = self._len
         if self.kv_bits == 8:
-            return self._kv
-        return unsigned_values(self._kv, self._scales, kv_levels(np.arange(len(self)), self.kv_bits))
+            kv = self._kv[..., :n, :]
+            kv.flags.writeable = False
+            return kv
+        return unsigned_values(self._kv[..., :n, :], self._scales[..., :n, :], self._levels[:n])
 
     def keys(self) -> np.ndarray:
         """Dequantized keys, shape (..., n_heads, T, head_dim)."""
@@ -339,9 +387,10 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
     qk = ad.rope(heads[:2], positions)
     q, k, v = qk[0], qk[1], heads[2]
     if q_bits == 4:
-        q = fake_quant(q, QuantScheme.unsigned(4))
+        q = fake_quant(q, _Q4)
     if kv_bits != 8:
-        k, v = kv_fake_quant_values(np.stack((k, v)), kv_bits, positions)
+        # at kv8 K and V stay views: the adjoint holds them without a copy
+        k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, positions)
     if cache is not None:
         cache.extend(k, v)
         k, v = cache.read()

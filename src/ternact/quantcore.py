@@ -9,6 +9,10 @@ and ``model.model_forward``'s per-block check stops it.
 Weights quantize with one scale per tensor; activations default to one scale
 per token row, where the trailing axis is the feature axis. All rounding is
 round-half-away-from-zero.
+``quantize`` is on the path of every projection, so it is written for few
+numpy calls: group scales come from one ``maximum``/``add`` reduction (a
+mean is that sum over n, which is what ``np.mean`` computes), and the
+signed integer schemes scale, round and clip one fresh buffer in place.
 """
 
 from __future__ import annotations
@@ -125,15 +129,27 @@ class QuantizedTensor:
     scheme: QuantScheme
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.trunc(x + np.copysign(0.5, x))
+def _round_clip(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Round the fresh array t half away from zero and clip it to [lo, hi],
+    in place."""
+    t += np.copysign(0.5, t)
+    np.trunc(t, out=t)
+    np.maximum(t, lo, out=t)
+    return np.minimum(t, hi, out=t)
 
 
-def _group_abs(fn, x: np.ndarray, granularity: Granularity) -> np.ndarray:
-    # fn (np.max or np.mean) of |x| over each scaling group
+def _group_absmax(x: np.ndarray, granularity: Granularity) -> np.ndarray:
+    # max |x| over each scaling group
+    axis = None if granularity is Granularity.PER_TENSOR else -1
+    return np.asarray(np.maximum.reduce(np.abs(x), axis=axis))
+
+
+def _group_absmean(x: np.ndarray, granularity: Granularity) -> np.ndarray:
+    # mean |x| over each scaling group: the sum over n, which is what np.mean
+    # computes, bit for bit
     if granularity is Granularity.PER_TENSOR:
-        return np.asarray(fn(np.abs(x)))
-    return fn(np.abs(x), axis=-1)
+        return np.asarray(np.add.reduce(np.abs(x), axis=None) / x.size)
+    return np.add.reduce(np.abs(x), axis=-1) / x.shape[-1]
 
 
 def _expand(scales: np.ndarray, granularity: Granularity) -> np.ndarray:
@@ -186,27 +202,33 @@ def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
         raise ValueError("a per-token scheme needs a feature axis; quantize a 0-d tensor "
                          "per tensor (--per-tensor)")
     kind = scheme.kind
+    # each branch computes a fresh array (asarray: a 0-d result is a scalar)
+    # and rounds and clips it in place
     if kind is SchemeKind.TERNARY_ABSMEAN:
-        scales = _group_abs(np.mean, arr, granularity)
-        codes = np.clip(_round_half_away(arr / (scales + EPS)), -1, 1)
+        scales = _group_absmean(arr, granularity)
+        codes = _round_clip(np.asarray(arr / (scales + EPS)), -1.0, 1.0)
     elif kind is SchemeKind.INT8_ABSMAX:
-        scales = _group_abs(np.max, arr, granularity)
-        codes = np.clip(_round_half_away(127.0 * arr / (_expand(scales, granularity) + EPS)), -128, 127)
+        scales = _group_absmax(arr, granularity)
+        t = np.asarray(127.0 * arr)
+        t /= _expand(scales, granularity) + EPS
+        codes = _round_clip(t, -128.0, 127.0)
     elif kind is SchemeKind.INT4_ABSMEAN:
-        scales = scheme.multiplier * _group_abs(np.mean, arr, granularity)
-        codes = np.clip(_round_half_away(SQRT7 * arr / (_expand(scales, granularity) + EPS)), -8, 7)
+        scales = scheme.multiplier * _group_absmean(arr, granularity)
+        t = np.asarray(SQRT7 * arr)
+        t /= _expand(scales, granularity) + EPS
+        codes = _round_clip(t, -8.0, 7.0)
     elif kind is SchemeKind.FP4_MINMAX:
         # One pass of s -> (6s)/6 makes the scale stable under requantization:
         # the map is a projection in float64, so fake_quant stays idempotent
         # even when 6*s rounds.
-        scales = (6.0 * (_group_abs(np.max, arr, granularity) / 6.0)) / 6.0
+        scales = (6.0 * (_group_absmax(arr, granularity) / 6.0)) / 6.0
         mag = np.abs(arr) / _expand(np.where(scales > 0.0, scales, 1.0), granularity)
         # side='right' sends exact midpoints to the larger magnitude, matching
         # round-half-away elsewhere. Not np.sign: a NaN takes a finite code,
         # which the consumers index by, and the group's NaN scale carries it.
         codes = np.where(arr < 0.0, -1.0, 1.0) * np.searchsorted(_E2M1_MIDPOINTS, mag, side="right")
     elif kind is SchemeKind.UNSIGNED_ABSMAX:
-        scales = _group_abs(np.max, arr, granularity)
+        scales = _group_absmax(arr, granularity)
         codes = unsigned_codes(arr, _expand(scales, granularity), float(2**scheme.bits - 1))
     else:
         raise ValueError(f"unknown scheme kind: {kind}")

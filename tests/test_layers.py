@@ -1,5 +1,7 @@
 """Unit tests for projections, the gated FFN, attention, and the KV cache."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,20 @@ class TestFfnForward:
         assert probe.sparsity[Site.DOWN][0] >= 0.45
 
 
+def strided_rope(v, positions, sign):
+    """The rotary embedding as a per-call formula with strided writes: the
+    reference the table-driven ``ad.rope`` must match bit for bit."""
+    d = v.shape[-1]
+    freqs = ad.ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    cos, sin = np.cos(angles), sign * np.sin(angles)
+    even, odd = v[..., 0::2], v[..., 1::2]
+    out = np.empty_like(v)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
 class TestRope:
     def test_apply_on_arrays(self):
         x = RNG.standard_normal((2, 3, 4))
@@ -182,6 +198,24 @@ class TestRope:
         before = x[..., 0::2] ** 2 + x[..., 1::2] ** 2
         after = out[..., 0::2] ** 2 + out[..., 1::2] ** 2
         np.testing.assert_allclose(after, before, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "positions",
+        [np.arange(7), np.arange(60, 70), np.arange(290, 301), np.array([5, 0, 300, 2, 64, 63, 129, 1])],
+        ids=["first", "across-first-table", "past-300", "unsorted"],
+    )
+    @pytest.mark.parametrize("head_dim", [4, 32])
+    def test_table_matches_the_strided_formula(self, head_dim, positions):
+        # one (2, b, heads, T, d) transposed view, as attention_core rotates
+        qkv = RNG.standard_normal((2, positions.size, 3, 2, head_dim))
+        v = qkv.transpose(2, 0, 3, 1, 4)[:2]
+        np.testing.assert_array_equal(ad.rope(v, positions), strided_rope(v, positions, 1.0))
+        np.testing.assert_array_equal(ad.rope_adjoint(v, positions), strided_rope(v, positions, -1.0))
+
+    def test_adjoint_undoes_the_rotation(self):
+        x = RNG.standard_normal((3, 40, 8))
+        positions = np.arange(100, 140)
+        np.testing.assert_allclose(ad.rope_adjoint(ad.rope(x, positions), positions), x, rtol=0, atol=1e-12)
 
 
 class TestKvCodeBits:
@@ -216,17 +250,21 @@ class TestKvCodeBits:
             np.testing.assert_array_equal(codes[..., t, :], q.codes)
             np.testing.assert_array_equal(scales[..., t, 0], q.scales)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_head_stays_non_finite(self, bad):
         # kv_codes does not reject NaN or inf: the head-position group that
         # holds one reads back non-finite, from the fake-quant and from the
-        # cache, and every other group is as it would be without it
+        # cache, and every other group is as it would be without it. The
+        # cache stores a NaN code as 0 without a cast warning.
         kv = RNG.standard_normal((2, 3, 8))
         clean = kv_fake_quant_values(kv, 3, np.arange(3))
         kv[1, 2, 5] = bad
         cache = KvCache(3)
-        cache.extend(kv[0], kv[1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cache.extend(kv[0], kv[1])
+        assert not [w for w in caught if "in cast" in str(w.message)]
         for got in (kv_fake_quant_values(kv, 3, np.arange(3)), cache.read()):
             assert not np.isfinite(got[1, 2]).any()
             got[1, 2] = clean[1, 2]
@@ -340,6 +378,29 @@ class TestKvCache:
         cache.extend(RNG.standard_normal((1, 2, 5, 4)), RNG.standard_normal((1, 2, 5, 4)))
         np.testing.assert_array_equal(keys, before)
         np.testing.assert_array_equal(cache.keys()[..., :3, :], before)
+
+    @pytest.mark.parametrize("kv_bits", [3, 4, 8])
+    def test_growth_keeps_every_position(self, kv_bits):
+        # uneven chunks grow the cache three times; a raw read
+        # taken before a growth still holds what it held
+        total = 5 * KvCache.MIN_CAPACITY + 3
+        k = RNG.standard_normal((1, 2, total, 8))
+        v = RNG.standard_normal((1, 2, total, 8))
+        cache = KvCache(kv_bits)
+        bounds = [0, 3, 4, KvCache.MIN_CAPACITY - 1, KvCache.MIN_CAPACITY + 6, 3 * KvCache.MIN_CAPACITY, total]
+        snapshots = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            cache.extend(k[..., lo:hi, :], v[..., lo:hi, :])
+            read = cache.read()
+            want = np.stack((k, v))[..., :hi, :]
+            if kv_bits != 8:
+                want = kv_fake_quant_values(want, kv_bits, np.arange(hi))
+            np.testing.assert_array_equal(read, want)
+            snapshots.append((read, read.copy()))
+        assert len(cache) == total
+        if kv_bits == 8:
+            for read, copy in snapshots:
+                np.testing.assert_array_equal(read, copy)
 
     def test_mismatched_heads_rejected(self):
         cache = KvCache(kv_bits=3)

@@ -1,10 +1,13 @@
 """Model assembly: parameter bookkeeping, stage rebinding, causality, and
 forward determinism on small configurations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from ternact import autodiff as ad
+from ternact import layers as layers_mod
 from ternact import model as model_mod
 from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
 from ternact.layers import KvCache, Probe, Site, probing
@@ -295,7 +298,47 @@ class TestProbe:
         calls.clear()
         with ad.no_grad(), probing(Probe(keep_inputs=list(Site))):
             model_forward(model, self.TOKENS)
-        assert len(calls) == unprobed == 2 * len(Site)
+        # one per distinct projection input: gate and up share one
+        assert len(calls) == unprobed == 2 * (len(Site) - 1)
+
+    @pytest.mark.parametrize(
+        "bindings,per_block",
+        [
+            (None, len(Site) - 1),
+            ({"gate": {"scheme": "int4", "k": 0.5}, "up": {"scheme": "int4", "k": 0.5}}, len(Site) - 1),
+            ({"up": {"scheme": "int8", "k": None}}, len(Site)),
+            ({"up": {"scheme": "int4", "k": 0.5}}, len(Site)),
+        ],
+        ids=["stage-row", "same-scheme-and-k", "up-other-scheme", "up-other-k"],
+    )
+    def test_gate_and_up_share_codes_only_under_one_binding(self, monkeypatch, bindings, per_block):
+        # the reference FFN quantizes gate and up each on its own
+        def separate(x, up_layer, gate_layer, activation="relu2"):
+            up = layers_mod.bitlinear_forward(up_layer, x)
+            return ad.mul(up, ad.relu2(layers_mod.bitlinear_forward(gate_layer, x)))
+
+        model = TransformerModel(tiny_config(stage=Stage.STAGE2, site_bindings=bindings), seed=0)
+        params = list(model.named_parameters().values())
+        targets = np.roll(self.TOKENS, 1, axis=1)
+        results = []
+        for ffn in (layers_mod.relu2glu, separate):
+            monkeypatch.setattr(layers_mod, "relu2glu", ffn)
+            calls = []
+            real = ad.quantize
+            monkeypatch.setattr(ad, "quantize", lambda x, scheme: calls.append(scheme) or real(x, scheme))
+            with ad.no_grad():
+                logits = model_forward(model, self.TOKENS).value
+            monkeypatch.setattr(ad, "quantize", real)
+            calls = [scheme for scheme in calls if scheme.kind is not SchemeKind.TERNARY_ABSMEAN]
+            for p in params:
+                p.zero_grad()
+            ad.cross_entropy(model_forward(model, self.TOKENS), targets).backward()
+            results.append((len(calls), logits, [p.grad for p in params]))
+        (shared_calls, logits, grads), (_, want_logits, want_grads) = results
+        assert shared_calls == per_block * len(model.blocks)
+        np.testing.assert_array_equal(logits, want_logits)
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, want)
 
     def test_each_site_rate_is_the_consumed_input_sparsity(self):
         model = self.stage2_model()
@@ -542,3 +585,57 @@ class TestIncrementalDecode:
                 model_forward(model, np.array([[1]]), [KvCache(3)])
             with pytest.raises(ValueError, match="kv_bits=8"):
                 model_forward(model, np.array([[1]]), [KvCache(8) for _ in model.blocks])
+
+
+class TestOutputDigests:
+    """sha256 of what a seeded tiny stage-2 model computes, pinned so that a
+    rewrite meant to be exact keeps every bit: no-grad logits, greedy decode
+    past seq_len, and the losses of a short stage-2 training run."""
+
+    DIGESTS = {
+        (3, 4, False): {
+            "logits": "038e96d4065c92261411f593a5efcdad8ad74212c30b55cf59ed26459a974dc0",
+            "decode": "61ed02c928ef1c1a7bdefb4827baadbba19ab403e353329429dfcb9520d46b48",
+            "losses": "8be65acc28540d42249d0b884b03b21d47f74f57c04b95832b9227d3d8b8420a",
+        },
+        (3, 4, True): {
+            "logits": "27418f654b10f5850c98187e7e967d689c9d2e1b16b439930d98c76bed0970c5",
+            "decode": "e86ccc38fffb90eb1635768f2981b6dfc5c3fc7e8fd8644b1a8fd3bc41b7bee4",
+            "losses": "51201a6dafed331f430e2dcbe12d0922fc4d824be1df63cf395a333e51e94c48",
+        },
+        (8, 16, False): {
+            "logits": "c055b9c259188ab5fa4715a4ee490edccac0732c77f4243187ded14709a75f91",
+            "decode": "757c66e78158b794ed5a9b0519394965366c811dfa5cb31cfe13c3a9d8eb620c",
+            "losses": "0d9fba0ba9223ad2cb47977b84edd1de21d8036c92e71366aec75c2b2b56b3bd",
+        },
+        (8, 16, True): {
+            "logits": "af76c9046428b647f5e06d58e602a66b92f43d09c6932c8c758d0fc86ed79385",
+            "decode": "d9a3ff60bea19b17d57b4f78b9fc565dc52d4a1b2a972a624f28238c8bae388c",
+            "losses": "a778afda85e42a213bedc41104c10f46b296846f41c5e7e06dc66b516550ac20",
+        },
+    }
+
+    @staticmethod
+    def digest(array) -> str:
+        return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "kv_bits,q_bits,fp4_mode", sorted(DIGESTS),
+        ids=[f"kv{kv}-q{q}-{'fp4' if fp4 else 'int4'}" for kv, q, fp4 in sorted(DIGESTS)],
+    )
+    def test_outputs_are_stable(self, kv_bits, q_bits, fp4_mode):
+        config = dict(stage=Stage.STAGE2, kv_bits=kv_bits, q_bits=q_bits, fp4_mode=fp4_mode)
+        tokens = np.random.default_rng(11).integers(0, 32, size=(2, 16))
+        model = TransformerModel(tiny_config(**config), seed=7)
+        with ad.no_grad():
+            logits = model_forward(model, tokens).value
+        decoded = greedy_decode(model, tokens[:1, :3], 20)
+        chain = MarkovChain(MarkovDataConfig(vocab_size=32, seed=1))
+        recipe = TrainerConfig(total_steps=20, warmup_steps=2, batch_size=4, single_stage=Stage.STAGE2)
+        log = run_two_stage(TransformerModel(tiny_config(**config), seed=7), batch_stream(chain, 4, 16, 2), recipe)
+        got = {
+            "logits": self.digest(logits),
+            "decode": self.digest(decoded),
+            "losses": self.digest([record.loss for record in log.records]),
+        }
+        assert got == self.DIGESTS[kv_bits, q_bits, fp4_mode]
