@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .quantcore import (
     QuantScheme,
     SchemeKind,
     dequantize,
+    operand,
     quantize,
 )
 from .sparsify import topk_mask
@@ -180,10 +181,9 @@ def rmsnorm(x: Var, gain: Var, eps: float = 1e-6) -> Var:
     x, gain = as_var(x), as_var(gain)
     xv = x.value
     n = xv.shape[-1]
-    r = np.add.reduce(xv * xv, axis=-1, keepdims=True)
-    r /= n
-    r += eps
-    np.sqrt(r, out=r)
+    # r has one entry per row: at a decode step's one row, a new array is
+    # cheaper than an in-place update
+    r = np.sqrt(np.add.reduce(xv * xv, axis=-1, keepdims=True) / n + eps)
     xhat = xv / r
     gv = gain.value
 
@@ -230,12 +230,16 @@ def _rotate(v: np.ndarray, positions: np.ndarray, sign: float) -> np.ndarray:
     d = v.shape[-1]
     if d % 2 != 0:
         raise ValueError(f"rope requires an even head_dim, got {d}")
-    positions = np.asarray(positions)
-    top = int(positions.max()) + 1
+    if type(positions) is range and positions.step == 1 and positions.start >= 0:
+        # a contiguous range reads a slice of the table
+        top, rows = positions.stop, slice(positions.start, positions.stop)
+    else:
+        rows = np.asarray(positions)
+        top = int(rows.max()) + 1
     n = _ROPE_MIN_POSITIONS if top <= _ROPE_MIN_POSITIONS else 1 << (top - 1).bit_length()
     cos, sin = _rope_table(d, n)
-    sin = sin[positions]
-    out = v * cos[positions]
+    sin = sin[rows]
+    out = v * cos[rows]
     even, odd = v[..., 0::2], v[..., 1::2]
     if sign > 0:
         out[..., 0::2] -= odd * sin
@@ -250,7 +254,8 @@ def rope(v: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Rotate interleaved pairs of the last axis by pos * ROPE_BASE^(-2i/d).
 
     Expects (..., T, head_dim) with an even head_dim; positions holds T
-    nonnegative integers, in any order.
+    nonnegative integers, in any order. A ``range`` of consecutive positions
+    slices the rotary table instead of indexing it, with the same result.
     """
     return _rotate(v, positions, 1.0)
 
@@ -260,16 +265,11 @@ def rope_adjoint(g: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return _rotate(g, positions, -1.0)
 
 
-# Code-product multiplier per bitlinear input scheme: a product of input and
-# weight codes times (group scale / divisor) * alpha is the projection.
-_ROW_DIVISOR = {
-    SchemeKind.INT8_ABSMAX: 127.0,
-    SchemeKind.INT4_ABSMEAN: SQRT7,
-    SchemeKind.FP4_MINMAX: 2.0,
-}
+# Row divisors of the code products of each input kind (see input_codes).
+_INT4_DIVISOR, _INT8_DIVISOR, _FP4_DIVISOR = operand(SQRT7), operand(127.0), operand(2.0)
 # The scheme kinds a bitlinear input can take, and the named schemes of
 # those kinds.
-INPUT_KINDS = frozenset(_ROW_DIVISOR)
+INPUT_KINDS = frozenset((SchemeKind.INT8_ABSMAX, SchemeKind.INT4_ABSMEAN, SchemeKind.FP4_MINMAX))
 INPUT_SCHEMES = {name: scheme for name, scheme in SCHEMES.items() if scheme.kind in INPUT_KINDS}
 # fp4 codes index the E2M1 grid, whose points lie on a half-integer lattice;
 # doubled, they are the integers -12..12 (index i + 7 holds code i).
@@ -282,8 +282,7 @@ _FP4_DOUBLED = np.array(
 _MAX_INPUT_CODE = 128
 
 
-@dataclass(frozen=True)
-class InputCodes:
+class InputCodes(NamedTuple):
     """A bitlinear input as integer-valued float32 ``codes`` (top-K masked),
     the per-row ``row_factor`` that maps code products back to values, and the
     keep-``mask`` (None when k is off)."""
@@ -305,14 +304,22 @@ def input_codes(xv, scheme: QuantScheme, k_fraction: float | None = None) -> Inp
     This is the one place a projection input becomes integer codes; the
     dense and gate-first FFN paths and the sparsity reports all read it.
     """
-    divisor = _ROW_DIVISOR.get(scheme.kind)
-    if divisor is None:
-        raise ValueError(f"unsupported bitlinear input scheme {scheme.kind}")
+    # the code-product multiplier: a product of input and weight codes times
+    # (group scale / divisor) * alpha is the projection
+    kind = scheme.kind
+    if kind is SchemeKind.INT4_ABSMEAN:
+        divisor = _INT4_DIVISOR
+    elif kind is SchemeKind.INT8_ABSMAX:
+        divisor = _INT8_DIVISOR
+    elif kind is SchemeKind.FP4_MINMAX:
+        divisor = _FP4_DIVISOR
+    else:
+        raise ValueError(f"unsupported bitlinear input scheme {kind}")
     q = quantize(xv, scheme)
     codes = q.codes
-    if scheme.kind is SchemeKind.FP4_MINMAX:
+    if kind is SchemeKind.FP4_MINMAX:
         codes = _FP4_DOUBLED[codes.astype(np.intp) + 7]
-    row_factor = np.asarray(q.scales, dtype=np.float64)[..., None] / divisor
+    row_factor = q.scales[..., None] / divisor
     mask = None
     if k_fraction is not None:
         mask = topk_mask(xv, k_fraction).mask
@@ -332,7 +339,7 @@ def weight_codes(w: Var, scheme: QuantScheme) -> QuantizedTensor:
     """
     wv = w.value
     hit = w._codes
-    if hit is not None and hit[0]() is wv and hit[1] == scheme:
+    if hit is not None and hit[0]() is wv and (hit[1] is scheme or hit[1] == scheme):
         return hit[2]
     q = quantize(wv, scheme)
     q.codes.flags.writeable = False
@@ -393,7 +400,7 @@ def bitlinear(
     if xin is not None and qw is not None:
         y = code_matmul(xin.codes, qw.codes)
         y *= xin.row_factor
-        y *= float(qw.scales)
+        y *= qw.scales  # one 0-d scale
     else:
         y = fq_input() @ fq_weights().T
 

@@ -12,6 +12,7 @@ per head per position after the rotary embedding, keeping absolute position
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -137,7 +138,8 @@ def relu2glu(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer, activation
     x = ad.as_var(x)
     xin = None
     scheme = up_layer.input_scheme
-    if scheme is not None and scheme == gate_layer.input_scheme and up_layer.k_fraction == gate_layer.k_fraction:
+    same = scheme is gate_layer.input_scheme or scheme == gate_layer.input_scheme
+    if scheme is not None and same and up_layer.k_fraction == gate_layer.k_fraction:
         xin = ad.input_codes(x.value, scheme, up_layer.k_fraction)
     up = bitlinear_forward(up_layer, x, xin)
     gate = bitlinear_forward(gate_layer, x, xin)
@@ -224,11 +226,23 @@ def _kv_codes(values: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.nd
     return unsigned_codes(values, scales, levels), scales
 
 
-def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> np.ndarray:
+def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions, cache: KvCache | None = None) -> np.ndarray:
     """Fake-quantize (..., T, head_dim) per head per position at
-    ``kv_code_bits`` (see ``kv_codes``)."""
-    levels = kv_levels(positions, kv_bits)
-    return unsigned_values(*_kv_codes(values, levels), levels)
+    ``kv_code_bits`` (see ``kv_codes``).
+
+    With a ``cache`` of the same kv_bits, ``values`` are K and V stacked as
+    (2, ..., n_heads, T, head_dim) at ``positions``, the next T positions
+    the cache stores: they are quantized once, straight into the cache
+    (``KvCache.store``), and the result is every stored position, read back
+    as ``KvCache.read`` does. A decode step quantizes its new K/V only here.
+    """
+    if cache is None:
+        levels = kv_levels(positions, kv_bits)
+        return unsigned_values(*_kv_codes(values, levels), levels)
+    if cache.kv_bits != kv_bits:
+        raise ValueError(f"cache stores kv_bits={cache.kv_bits}, the fake-quant runs at {kv_bits}")
+    cache.store(values)
+    return cache.read()
 
 
 class KvCache:
@@ -238,12 +252,14 @@ class KvCache:
     K and V are stacked in one buffer, (2, ..., n_heads, capacity, head_dim),
     of uint8 codes beside one scale per head per position and one level
     count per position; kv_bits=8 disables quantization and stores raw
-    values. New positions are written in place after the stored ones, and a
-    full buffer is copied into one of twice the capacity. A read dequantizes
-    the stored prefix in one call, each position at ``kv_code_bits``.
-    Appending quantizes what it is given, so K/V that already went through
-    ``kv_fake_quant_values`` at the same positions read back bit-equal
-    (unsigned fake-quant is idempotent).
+    values. ``store`` is the one store path (``append``, ``extend`` and
+    ``kv_fake_quant_values(..., cache)`` call it): it quantizes new
+    positions once and writes their codes and scales in place after the
+    stored ones; a full buffer is copied into one of twice the capacity. A
+    read dequantizes the stored prefix in one call, each position at
+    ``kv_code_bits``, so it is bit-equal to ``kv_fake_quant_values`` of the
+    same positions. A NaN or inf entry leaves its head-position group
+    reading back non-finite.
     """
 
     # positions the first buffer holds, at least
@@ -267,22 +283,32 @@ class KvCache:
 
     def extend(self, k: np.ndarray, v: np.ndarray) -> None:
         """Store (..., n_heads, T, head_dim) K and V at the next T positions."""
-        k, v = np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64)
+        k, v = np.asarray(k), np.asarray(v)
         if k.shape != v.shape:
             raise ValueError("K and V head shapes differ")
-        if self._kv is not None and k.shape[:-2] + k.shape[-1:] != self._kv.shape[1:-2] + self._kv.shape[-1:]:
+        self.store(np.stack((k, v)))
+
+    def store(self, kv: np.ndarray) -> None:
+        """Store K and V stacked as (2, ..., n_heads, T, head_dim) at the next
+        T positions, quantized once, each position at ``kv_code_bits``."""
+        kv = np.asarray(kv, dtype=np.float64)
+        if kv.ndim < 3 or kv.shape[0] != 2:
+            raise ValueError(f"K and V must be stacked on a leading axis of 2, got shape {kv.shape}")
+        if self._kv is not None and kv.shape[:-2] + kv.shape[-1:] != self._kv.shape[:-2] + self._kv.shape[-1:]:
             cached = (*self._kv.shape[1:-2], self._len, self._kv.shape[-1])
-            raise ValueError(f"heads of shape {k.shape} do not match the cached {cached}")
-        start, end = self._len, self._len + k.shape[-2]
+            raise ValueError(f"heads of shape {kv.shape[1:]} do not match the cached {cached}")
+        start, end = self._len, self._len + kv.shape[-2]
         if self._kv is None or end > self._kv.shape[-2]:
-            self._grow(k.shape, end)
-        kv = np.stack((k, v))
-        if self.kv_bits != 8:
-            kv, self._scales[..., start:end, :] = _kv_codes(kv, self._levels[start:end])
+            self._grow(kv.shape[1:], end)
+        if self.kv_bits == 8:
+            self._kv[..., start:end, :] = kv
+        else:
+            scales = self._scales[..., start:end, :]
+            np.maximum.reduce(np.abs(kv), axis=-1, keepdims=True, out=scales)
             # a NaN code is stored as 0: uint8 has no NaN, and the group's
-            # NaN scale still reads it back non-finite
-            np.fmax(kv, 0.0, out=kv)
-        self._kv[..., start:end, :] = kv
+            # non-finite scale still reads it back non-finite
+            codes = unsigned_codes(kv, scales, self._levels[start:end])
+            np.fmax(codes, 0.0, out=self._kv[..., start:end, :], casting="unsafe")
         self._len = end
 
     def _grow(self, shape: tuple[int, ...], end: int) -> None:
@@ -371,17 +397,19 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
 
     Q and K rotate at their absolute positions; Q is fake-quantized when
     q_bits=4 and K/V below kv_bits=8. With a ``cache``, the new K/V are
-    appended and every key and value is read back from the stored codes, so
-    a decode step computes one position. The adjoint passes the gradient
-    straight through each quantizer; the rest is the exact adjoint of the
-    scores, softmax and context products, one numpy expression per step.
+    quantized once, straight into the cache, by ``kv_fake_quant_values``
+    (at kv_bits=8 stored raw), and every key and value is read back from
+    the cache, so a decode step computes one position. The adjoint passes
+    the gradient straight through each quantizer; the rest is the exact
+    adjoint of the scores, softmax and context products, one numpy
+    expression per step.
     """
     b, t, h3 = qkv.value.shape
     h = h3 // 3
     hd = h // n_heads
     past = 0 if cache is None else len(cache)
-    positions = np.arange(past, past + t)
-    scale = float(1.0 / np.sqrt(hd))
+    positions = range(past, past + t)
+    scale = 1.0 / math.sqrt(hd)
 
     heads = qkv.value.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
     qk = ad.rope(heads[:2], positions)
@@ -389,13 +417,15 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
     if q_bits == 4:
         q = fake_quant(q, _Q4)
     if kv_bits != 8:
-        # at kv8 K and V stay views: the adjoint holds them without a copy
-        k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, positions)
-    if cache is not None:
+        # at kv8 K and V stay views: the adjoint holds them without a copy.
+        # With a cache the new K/V are quantized once, into the cache, and
+        # every stored position comes back.
+        k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, positions, cache)
+    elif cache is not None:
         cache.extend(k, v)
         k, v = cache.read()
 
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     if t > 1:  # one query's mask is all zeros
         scores = scores + causal_mask(t, past)
     p = ad.softmax(scores)
@@ -403,12 +433,12 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
 
     def backward(g):
         go = g.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
-        dp = go @ np.swapaxes(v, -1, -2)
-        dv = np.swapaxes(p, -1, -2) @ go
+        dp = go @ v.swapaxes(-1, -2)
+        dv = p.swapaxes(-1, -2) @ go
         ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
         ds = ds * scale
         dq = ds @ k
-        dk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
+        dk = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
         # adding into zeros maps -0.0 to 0.0, the bits a sum of zero-padded
         # q, k and v gradients would have
         dqkv = np.zeros((b, t, 3, n_heads, hd))

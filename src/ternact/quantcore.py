@@ -10,9 +10,10 @@ Weights quantize with one scale per tensor; activations default to one scale
 per token row, where the trailing axis is the feature axis. All rounding is
 round-half-away-from-zero.
 ``quantize`` is on the path of every projection, so it is written for few
-numpy calls: group scales come from one ``maximum``/``add`` reduction (a
-mean is that sum over n, which is what ``np.mean`` computes), and the
-signed integer schemes scale, round and clip one fresh buffer in place.
+and cheap numpy calls: group scales come from one ``maximum``/``add``
+reduction (a mean is that sum over n, which is what ``np.mean`` computes),
+the signed integer schemes scale, round and clip one fresh buffer in place,
+and constant operands are 0-d arrays (``operand``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,25 @@ SQRT7 = math.sqrt(7.0)
 # most 2^-33: a code can differ from unsnapped rounding only that close to a
 # boundary.
 TIE_GRID = 2.0**32
+
+
+def operand(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, for a constant operand of
+    the ufuncs on a projection's path. With a float64 array a ufunc computes
+    the same result from it as from the Python float, but skips converting a
+    Python scalar on every call, which at a decode step's one row is a third
+    of the cost of a small ufunc."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_ZERO, _HALF, _ONE, _TWO = operand(0.0), operand(0.5), operand(1.0), operand(2.0)
+_EPS, _SQRT7, _INT8_MAX, _TIE_GRID = operand(EPS), operand(SQRT7), operand(127.0), operand(TIE_GRID)
+# code ranges of the schemes _round_clip serves
+_TERNARY_RANGE = operand(-1.0), _ONE
+_INT8_RANGE = operand(-128.0), _INT8_MAX
+_INT4_RANGE = operand(-8.0), operand(7.0)
 
 # Nonnegative magnitudes representable in E2M1, up to the group scale.
 E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
@@ -116,12 +137,13 @@ SCHEMES: dict[str, QuantScheme] = {
 }
 
 
-@dataclass(frozen=True)
-class QuantizedTensor:
+class QuantizedTensor(NamedTuple):
     """Integer codes, one scale per scaling group, and the producing scheme.
 
     ``scales`` has the source shape minus the feature axis for per-token
-    schemes and is a 0-d array for per-tensor schemes.
+    schemes and is a 0-d array for per-tensor schemes. A named tuple, not a
+    dataclass: it is as immutable and builds in half the time, and every
+    projection input builds one.
     """
 
     codes: np.ndarray
@@ -129,10 +151,10 @@ class QuantizedTensor:
     scheme: QuantScheme
 
 
-def _round_clip(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _round_clip(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Round the fresh array t half away from zero and clip it to [lo, hi],
     in place."""
-    t += np.copysign(0.5, t)
+    t += np.copysign(_HALF, t)
     np.trunc(t, out=t)
     np.maximum(t, lo, out=t)
     return np.minimum(t, hi, out=t)
@@ -167,16 +189,16 @@ def unsigned_codes(x: np.ndarray, scales: np.ndarray, levels) -> np.ndarray:
     scale (an entry that close to a boundary may take the farther level),
     which leaves no room for an epsilon in the divisor: zero groups are
     guarded explicitly."""
-    safe = np.where(scales > 0.0, scales, 1.0)
+    safe = np.where(scales > _ZERO, scales, _ONE)
     # t = x / scale on the tie grid, counted in grid steps: an integer in
     # [-TIE_GRID, TIE_GRID] (asarray: a 0-d quotient is a scalar)
     steps = np.asarray(x / safe)
-    steps *= TIE_GRID
+    steps *= _TIE_GRID
     np.rint(steps, out=steps)
     # (t + 1) / 2 * levels, exact and in [0, levels], then rounded half up
-    steps += TIE_GRID
+    steps += _TIE_GRID
     steps *= levels / (2.0 * TIE_GRID)
-    steps += 0.5
+    steps += _HALF
     return np.floor(steps, out=steps)
 
 
@@ -184,7 +206,13 @@ def unsigned_values(codes: np.ndarray, scales: np.ndarray, levels) -> np.ndarray
     """The unsigned dequantizer: codes in [0, levels] onto [-scale, scale].
     ``scales`` and ``levels`` broadcast against ``codes``, as in
     ``unsigned_codes``."""
-    return (2.0 * (codes / levels) - 1.0) * scales
+    # (2 * (codes / levels) - 1) * scales, in the one fresh array the
+    # division makes
+    out = codes / levels
+    out *= _TWO
+    out -= _ONE
+    out *= scales
+    return out
 
 
 def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
@@ -206,17 +234,19 @@ def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
     # and rounds and clips it in place
     if kind is SchemeKind.TERNARY_ABSMEAN:
         scales = _group_absmean(arr, granularity)
-        codes = _round_clip(np.asarray(arr / (scales + EPS)), -1.0, 1.0)
+        codes = _round_clip(np.asarray(arr / (scales + _EPS)), *_TERNARY_RANGE)
     elif kind is SchemeKind.INT8_ABSMAX:
         scales = _group_absmax(arr, granularity)
-        t = np.asarray(127.0 * arr)
-        t /= _expand(scales, granularity) + EPS
-        codes = _round_clip(t, -128.0, 127.0)
+        t = np.asarray(_INT8_MAX * arr)
+        t /= _expand(scales, granularity) + _EPS
+        codes = _round_clip(t, *_INT8_RANGE)
     elif kind is SchemeKind.INT4_ABSMEAN:
-        scales = scheme.multiplier * _group_absmean(arr, granularity)
-        t = np.asarray(SQRT7 * arr)
-        t /= _expand(scales, granularity) + EPS
-        codes = _round_clip(t, -8.0, 7.0)
+        scales = _group_absmean(arr, granularity)
+        if scheme.multiplier != 1.0:  # 1.0 * s is s, bit for bit
+            scales = scheme.multiplier * scales
+        t = np.asarray(_SQRT7 * arr)
+        t /= _expand(scales, granularity) + _EPS
+        codes = _round_clip(t, *_INT4_RANGE)
     elif kind is SchemeKind.FP4_MINMAX:
         # One pass of s -> (6s)/6 makes the scale stable under requantization:
         # the map is a projection in float64, so fake_quant stays idempotent

@@ -10,13 +10,12 @@ without masking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class TopKMask:
+class TopKMask(NamedTuple):
     """Boolean keep-mask, True where an entry is kept."""
 
     mask: np.ndarray
@@ -28,7 +27,7 @@ def kept_count(width: int, k_fraction: float) -> int:
         raise ValueError(f"k_fraction must be in (0, 1], got {k_fraction}")
     if width < 1:
         raise ValueError("rows must have at least one entry")
-    return max(1, int(np.trunc(k_fraction * width + 0.5)))
+    return max(1, int(k_fraction * width + 0.5))  # int truncates, and the sum is positive
 
 
 def topk_mask(x, k_fraction: float) -> TopKMask:
@@ -44,9 +43,10 @@ def topk_mask(x, k_fraction: float) -> TopKMask:
         mag = np.abs(x)
         threshold = np.partition(mag, width - kept, axis=-1)[..., width - kept, None]
         mask = mag >= threshold
-        crowded = np.count_nonzero(mask, axis=-1) > kept
-        if crowded.any():
+        counts = np.add.reduce(mask, axis=-1)
+        if np.maximum.reduce(counts, axis=None, initial=0) > kept:
             # too many ties at the threshold: the lowest indices win
+            crowded = counts > kept
             m, t = mag[crowded], threshold[crowded]
             above, tied = m > t, m == t
             room = kept - np.count_nonzero(above, axis=-1)

@@ -1,11 +1,13 @@
 """Two-stage training with straight-through gradients.
 
-Latent weights live in full precision and are the only thing the optimizer
-mutates; every forward consumes freshly quantized views. Stage 1 runs all
-projection inputs at int8 with the peak learning rate decaying to the
-second-stage rate; at the split point the model is rebound to the hybrid
-low-bit configuration and training continues on the same optimizer moments
-with the rate decaying to zero and weight decay switched off.
+Latent weights live in full precision and are the only model state the
+optimizer changes: it rebinds them, never writes them in place, and updates
+its own moments in place. Every forward consumes freshly quantized views.
+Stage 1 runs all projection inputs at int8 with the peak learning rate
+decaying to the second-stage rate; at the split point the model is rebound
+to the hybrid low-bit configuration and training continues on the same
+optimizer moments with the rate decaying to zero and weight decay switched
+off.
 """
 
 from __future__ import annotations
@@ -156,10 +158,15 @@ def adamw_update(
         g = p.grad
         if g is None:
             continue
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        mhat = state.m[name] / (1.0 - b1**t)
-        vhat = state.v[name] / (1.0 - b2**t)
+        # the moments update in place; the weights are rebound, never
+        # written, because the weight-code cache keys on their identity
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        mhat = m / (1.0 - b1**t)
+        vhat = v / (1.0 - b2**t)
         p.value = p.value - lr * mhat / (np.sqrt(vhat) + ADAM_EPS) - lr * wd * p.value
 
 

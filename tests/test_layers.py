@@ -212,6 +212,16 @@ class TestRope:
         np.testing.assert_array_equal(ad.rope(v, positions), strided_rope(v, positions, 1.0))
         np.testing.assert_array_equal(ad.rope_adjoint(v, positions), strided_rope(v, positions, -1.0))
 
+    @pytest.mark.parametrize("start,stop", [(0, 7), (5, 6), (60, 70), (290, 301)],
+                             ids=["first", "one", "across-first-table", "past-300"])
+    @pytest.mark.parametrize("head_dim", [4, 32])
+    def test_range_reads_the_same_bits_as_arange(self, head_dim, start, stop):
+        # attention_core rotates a range of positions, which slices the table
+        qkv = RNG.standard_normal((2, stop - start, 3, 2, head_dim))
+        v = qkv.transpose(2, 0, 3, 1, 4)[:2]
+        for op in (ad.rope, ad.rope_adjoint):
+            np.testing.assert_array_equal(op(v, range(start, stop)), op(v, np.arange(start, stop)))
+
     def test_adjoint_undoes_the_rotation(self):
         x = RNG.standard_normal((3, 40, 8))
         positions = np.arange(100, 140)
@@ -378,6 +388,47 @@ class TestKvCache:
         cache.extend(RNG.standard_normal((1, 2, 5, 4)), RNG.standard_normal((1, 2, 5, 4)))
         np.testing.assert_array_equal(keys, before)
         np.testing.assert_array_equal(cache.keys()[..., :3, :], before)
+
+    @pytest.mark.parametrize("kv_bits", [3, 4])
+    def test_store_in_the_fake_quant_equals_extend(self, kv_bits):
+        # kv_fake_quant_values(..., cache) quantizes the new K/V once, into
+        # the cache, and returns every stored position: bit-equal to extend
+        # then read, and to the fake-quant of the whole prefix, chunk by
+        # chunk across a buffer growth
+        total = 2 * KvCache.MIN_CAPACITY + 5
+        kv = RNG.standard_normal((2, 1, 2, total, 8))
+        extended, stored = KvCache(kv_bits), KvCache(kv_bits)
+        bounds = [0, 1, 4, KvCache.MIN_CAPACITY - 1, KvCache.MIN_CAPACITY + 2, total]
+        for lo, hi in zip(bounds, bounds[1:]):
+            extended.extend(kv[0, ..., lo:hi, :], kv[1, ..., lo:hi, :])
+            got = kv_fake_quant_values(kv[..., lo:hi, :], kv_bits, range(lo, hi), stored)
+            np.testing.assert_array_equal(got, extended.read())
+            np.testing.assert_array_equal(got, kv_fake_quant_values(kv[..., :hi, :], kv_bits, np.arange(hi)))
+        assert len(stored) == total
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_store_keeps_a_non_finite_group_non_finite(self, bad):
+        # the group that holds a NaN or inf reads back non-finite from the
+        # cache, and every other group as it would without it
+        kv = RNG.standard_normal((2, 1, 3, 4, 8))
+        clean = kv_fake_quant_values(kv, 3, np.arange(4))
+        kv[1, 0, 2, 3, 5] = bad
+        cache = KvCache(3)
+        kv_fake_quant_values(kv[..., :3, :], 3, range(3), cache)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = kv_fake_quant_values(kv[..., 3:, :], 3, range(3, 4), cache)
+        assert not [w for w in caught if "in cast" in str(w.message)]
+        assert not np.isfinite(got[1, 0, 2, 3]).any()
+        got[1, 0, 2, 3] = clean[1, 0, 2, 3]
+        np.testing.assert_array_equal(got, clean)
+
+    def test_store_rejects_unstacked_heads_or_other_bits(self):
+        with pytest.raises(ValueError, match="leading axis of 2"):
+            KvCache(3).store(RNG.standard_normal((3, 2, 1, 8)))
+        with pytest.raises(ValueError, match="kv_bits=3"):
+            kv_fake_quant_values(RNG.standard_normal((2, 2, 1, 8)), 4, range(1), KvCache(3))
 
     @pytest.mark.parametrize("kv_bits", [3, 4, 8])
     def test_growth_keeps_every_position(self, kv_bits):

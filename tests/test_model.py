@@ -562,6 +562,29 @@ class TestIncrementalDecode:
             want = prefix_recompute_decode(model, prompt, 24)
             np.testing.assert_array_equal(greedy_decode(model, prompt, 24), want)
 
+    @pytest.mark.parametrize("q_bits", [4, 16])
+    @pytest.mark.parametrize("kv_bits", [3, 4])
+    def test_each_new_position_is_quantized_once(self, monkeypatch, kv_bits, q_bits):
+        # a cached forward quantizes its new K and V once per block, in one
+        # call, straight into the cache
+        cfg = tiny_config(stage=Stage.STAGE2, kv_bits=kv_bits, q_bits=q_bits)
+        model = TransformerModel(cfg, seed=3)
+        quantized = []
+        unsigned_codes = layers_mod.unsigned_codes
+
+        def counting(x, scales, levels):
+            quantized.append(x.shape)
+            return unsigned_codes(x, scales, levels)
+
+        monkeypatch.setattr(layers_mod, "unsigned_codes", counting)
+        caches = [KvCache(kv_bits) for _ in model.blocks]
+        with ad.no_grad():
+            for tokens in (np.array([[1, 2, 3]]), np.array([[4]]), np.array([[5]])):
+                quantized.clear()
+                model_forward(model, tokens, caches)
+                new_kv = (2, 1, cfg.n_heads, tokens.shape[1], cfg.head_dim)
+                assert quantized == [new_kv] * cfg.n_layers
+
     def test_cache_under_grad_rejected(self):
         model = TransformerModel(tiny_config(), seed=0)
         caches = [KvCache(8) for _ in model.blocks]
@@ -602,6 +625,16 @@ class TestOutputDigests:
             "logits": "27418f654b10f5850c98187e7e967d689c9d2e1b16b439930d98c76bed0970c5",
             "decode": "e86ccc38fffb90eb1635768f2981b6dfc5c3fc7e8fd8644b1a8fd3bc41b7bee4",
             "losses": "51201a6dafed331f430e2dcbe12d0922fc4d824be1df63cf395a333e51e94c48",
+        },
+        (4, 4, False): {
+            "logits": "dc70a695420f6ad0065b076713f766fccc9302868248751686cf11b3da43c9fc",
+            "decode": "6772e267a6e3cd87930d8222524798299dcc88446c6a0b08dc132de437add20c",
+            "losses": "ef6389c4ba3fbb99dfb92d69ced47dde377ef6dfbe16cc4e67f73a4740feeb9b",
+        },
+        (4, 4, True): {
+            "logits": "8e8e0c465b085fbd607289361f1a0175d393139b8975de8c1186543bf175a8cd",
+            "decode": "33231f9f7e587d61e903860d123f32845d1afc0efad6db7dc7ccf93dfb79fd84",
+            "losses": "8c0266d382e0b428b8b39f8cd368fb360ca68d1964b286b48e14bf37ef88e749",
         },
         (8, 16, False): {
             "logits": "c055b9c259188ab5fa4715a4ee490edccac0732c77f4243187ded14709a75f91",
