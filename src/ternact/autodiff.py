@@ -2,7 +2,10 @@
 
 A ``Var`` wraps a float64 array and remembers how it was produced; calling
 ``backward`` on a scalar loss walks the recorded graph in reverse
-topological order and accumulates gradients into every upstream ``Var``.
+topological order and accumulates gradients into every upstream leaf
+``Var``. The walk consumes the graph: each node drops its adjoint, parents
+and gradient once its adjoint has run, so the tape is freed as it goes and
+a graph can be walked once.
 Quantizers and the top-K mask are non-differentiable, so the ops that apply
 them (``bitlinear`` here, the attention core in ``layers``) register
 straight-through adjoints: the gradient passes each quantizer unchanged, and
@@ -56,13 +59,24 @@ def grad_enabled() -> bool:
 
 
 class MissingTraceError(RuntimeError):
-    """backward() was called on a value with no recorded forward trace."""
+    """backward() was called on a value with no recorded forward trace, or
+    whose graph an earlier backward() consumed."""
+
+
+# the adjoint slot of a node an earlier backward() consumed
+_CONSUMED = object()
 
 
 class Var:
-    """Node in the reverse-mode tape."""
+    """Node in the reverse-mode tape.
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "_traced", "_codes")
+    A Var with parents records the adjoint that maps its gradient to theirs.
+    ``backward`` consumes that record: afterwards only leaves (Vars with no
+    parents, the parameters among them) hold a ``.grad``, and every Var
+    keeps its ``.value``.
+    """
+
+    __slots__ = ("value", "grad", "_parents", "_backward", "_traced", "_codes", "__weakref__")
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -80,7 +94,14 @@ class Var:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every upstream Var."""
+        """Accumulate gradients of this scalar into every upstream leaf.
+
+        The walk consumes the graph: once a node's adjoint has run, the node
+        drops its adjoint, its parents and its gradient, so each intermediate
+        array is freed as soon as no later adjoint reads it. Leaves keep
+        their gradients. A second backward() through a consumed node raises
+        ``MissingTraceError`` before any gradient moves.
+        """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar loss")
         if not self._traced:
@@ -97,22 +118,30 @@ class Var:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _CONSUMED:
+                raise MissingTraceError("the graph was consumed by an earlier backward()")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        while order:
+            # popping drops the list's reference to the node
+            node = order.pop()
+            adjoint, parents, g = node._backward, node._parents, node.grad
+            if adjoint is None:
+                continue  # a leaf keeps its gradient
+            node._backward, node._parents, node.grad = _CONSUMED, (), None
+            if g is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None:
+            for parent, pg in zip(parents, adjoint(g)):
+                if pg is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = g
+                    parent.grad = pg
                 else:
-                    parent.grad = parent.grad + g
+                    parent.grad = parent.grad + pg
 
 
 def as_var(x) -> Var:
@@ -165,8 +194,9 @@ def embedding(table: Var, tokens: np.ndarray) -> Var:
 def relu2(a: Var) -> Var:
     """ReLU squared; adjoint is 2*ReLU(x)."""
     a = as_var(a)
-    r = np.maximum(a.value, 0.0)
-    return Var(r * r, (a,), lambda g: (g * 2.0 * r,))
+    av = a.value
+    r = np.maximum(av, 0.0)
+    return Var(r * r, (a,), lambda g: (g * 2.0 * np.maximum(av, 0.0),))
 
 
 def silu(a: Var) -> Var:
@@ -184,16 +214,15 @@ def rmsnorm(x: Var, gain: Var, eps: float = 1e-6) -> Var:
     # r has one entry per row: at a decode step's one row, a new array is
     # cheaper than an in-place update
     r = np.sqrt(np.add.reduce(xv * xv, axis=-1, keepdims=True) / n + eps)
-    xhat = xv / r
     gv = gain.value
 
     def backward(g):
         gg = g * gv
         dx = gg / r - xv * np.add.reduce(gg * xv, axis=-1, keepdims=True) / (n * r**3)
-        dgain = np.add.reduce(g * xhat, axis=tuple(range(g.ndim - 1)))
+        dgain = np.add.reduce(g * (xv / r), axis=tuple(range(g.ndim - 1)))
         return dx, dgain
 
-    return Var(xhat * gv, (x, gain), backward)
+    return Var(xv / r * gv, (x, gain), backward)
 
 
 def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -294,8 +323,12 @@ class InputCodes(NamedTuple):
 
     def values(self) -> np.ndarray:
         """The dequantized, masked input: the operand the matmul consumes."""
-        deq = dequantize(self.quantized)
-        return deq if self.mask is None else deq * self.mask
+        return _masked_values(self.quantized, self.mask)
+
+
+def _masked_values(q: QuantizedTensor, mask: np.ndarray | None) -> np.ndarray:
+    deq = dequantize(q)
+    return deq if mask is None else deq * mask
 
 
 def input_codes(xv, scheme: QuantScheme, k_fraction: float | None = None) -> InputCodes:
@@ -390,12 +423,15 @@ def bitlinear(
         raise ValueError(f"input codes of shape {xin.codes.shape} do not match x {xv.shape}")
 
     qw = None if weight_scheme is None else weight_codes(w, weight_scheme)
+    # the adjoint reads the input's quantized tensor and mask, not the
+    # masked code copy the forward multiplies
+    xq, mask = (None, None) if xin is None else (xin.quantized, xin.mask)
 
     def fq_weights():
         return wv if qw is None else dequantize(qw)
 
     def fq_input():
-        return xv if xin is None else xin.values()
+        return xv if xq is None else _masked_values(xq, mask)
 
     if xin is not None and qw is not None:
         y = code_matmul(xin.codes, qw.codes)
@@ -406,8 +442,8 @@ def bitlinear(
 
     def backward(g):
         dx = g @ fq_weights()
-        if xin is not None and xin.mask is not None:
-            dx = dx * xin.mask
+        if mask is not None:
+            dx = dx * mask
         g2 = g.reshape(-1, wv.shape[0])
         dw = g2.T @ fq_input().reshape(-1, wv.shape[1])
         return dx, dw
@@ -435,7 +471,7 @@ def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
     loss = -np.mean(picked)
 
     def backward(g):
-        p = np.exp(logp).reshape(-1, lv.shape[-1]).copy()
+        p = np.exp(logp).reshape(-1, lv.shape[-1])  # a fresh array
         p[np.arange(flat_idx.size), flat_idx] -= 1.0
         return ((g / flat_idx.size) * p.reshape(lv.shape),)
 

@@ -300,6 +300,25 @@ class TestTapeMechanics:
             loss.backward()
         assert x.grad is None
 
+    def test_second_backward_raises(self):
+        w = ad.Var(np.array([2.0]))
+        loss = ad.vsum(ad.mul(ad.mul(ad.Var(np.array([3.0])), w), w))  # 3w^2 -> 6w = 12
+        loss.backward()
+        assert w.grad[0] == 12.0
+        with pytest.raises(ad.MissingTraceError, match="consumed"):
+            loss.backward()
+        assert w.grad[0] == 12.0
+
+    def test_backward_through_a_consumed_subgraph_raises(self):
+        w = ad.Var(np.array([2.0]))
+        shared = ad.mul(w, w)
+        first, second = ad.vsum(shared), ad.vsum(ad.add(shared, w))
+        first.backward()
+        assert w.grad[0] == 4.0
+        with pytest.raises(ad.MissingTraceError, match="consumed"):
+            second.backward()
+        assert w.grad[0] == 4.0
+
     def test_backward_requires_scalar(self):
         x = ad.Var(np.ones(3))
         with pytest.raises(ValueError):

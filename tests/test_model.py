@@ -24,7 +24,7 @@ from ternact.model import (
 )
 from ternact.quantcore import SCHEMES, SchemeKind
 from ternact.sparsify import measure_sparsity
-from ternact.train import TrainerConfig, run_two_stage
+from ternact.train import OptimizerState, TrainerConfig, run_two_stage, train_step
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -613,7 +613,13 @@ class TestIncrementalDecode:
 class TestOutputDigests:
     """sha256 of what a seeded tiny stage-2 model computes, pinned so that a
     rewrite meant to be exact keeps every bit: no-grad logits, greedy decode
-    past seq_len, and the losses of a short stage-2 training run."""
+    past seq_len, the losses of a short stage-2 training run, and the
+    parameter gradients of one train step in each stage."""
+
+    GRAD_DIGESTS = {
+        Stage.STAGE1: "10a639026871cedcc8b7619b920001ae41a27f2c6f6623e30065463832a1e1c9",
+        Stage.STAGE2: "c96824a20461d6e131d888c9f53f485f307b33c9dd4141d26ac126f7b842e82b",
+    }
 
     DIGESTS = {
         (3, 4, False): {
@@ -672,3 +678,15 @@ class TestOutputDigests:
             "losses": self.digest([record.loss for record in log.records]),
         }
         assert got == self.DIGESTS[kv_bits, q_bits, fp4_mode]
+
+    @pytest.mark.parametrize("stage", sorted(GRAD_DIGESTS))
+    def test_gradients_are_stable(self, stage):
+        # one digest over every parameter's gradient (after the clip), in
+        # named_parameters order
+        model = TransformerModel(tiny_config(stage=stage), seed=7)
+        batch = next(batch_stream(MarkovChain(MarkovDataConfig(vocab_size=32, seed=1)), 4, 16, 2))
+        train_step(model, batch, OptimizerState.init(model), TrainerConfig(), step=0)
+        digest = hashlib.sha256()
+        for p in model.named_parameters().values():
+            digest.update(np.ascontiguousarray(p.grad, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == self.GRAD_DIGESTS[stage]
