@@ -9,7 +9,8 @@ a graph can be walked once.
 Quantizers and the top-K mask are non-differentiable, so the ops that apply
 them (``bitlinear`` here, the attention core in ``layers``) register
 straight-through adjoints: the gradient passes each quantizer unchanged, and
-the mask gates it.
+the mask gates it. ``bitlinear`` multiplies integer lattice points, read
+with their divisors from ``quantcore.lattice_codes``.
 ``softmax`` and ``rope`` are array functions those adjoints are written
 around.
 
@@ -26,14 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantcore import (
-    E2M1_GRID,
+    LATTICES,
     SCHEMES,
-    SQRT7,
     QuantizedTensor,
     QuantScheme,
     SchemeKind,
     dequantize,
-    operand,
+    lattice_codes,
     quantize,
 )
 from .sparsify import topk_mask
@@ -294,21 +294,13 @@ def rope_adjoint(g: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return _rotate(g, positions, -1.0)
 
 
-# Row divisors of the code products of each input kind (see input_codes).
-_INT4_DIVISOR, _INT8_DIVISOR, _FP4_DIVISOR = operand(SQRT7), operand(127.0), operand(2.0)
 # The scheme kinds a bitlinear input can take, and the named schemes of
 # those kinds.
 INPUT_KINDS = frozenset((SchemeKind.INT8_ABSMAX, SchemeKind.INT4_ABSMEAN, SchemeKind.FP4_MINMAX))
 INPUT_SCHEMES = {name: scheme for name, scheme in SCHEMES.items() if scheme.kind in INPUT_KINDS}
-# fp4 codes index the E2M1 grid, whose points lie on a half-integer lattice;
-# doubled, they are the integers -12..12 (index i + 7 holds code i).
-_FP4_DOUBLED = np.array(
-    [np.sign(c) * 2.0 * E2M1_GRID[abs(c)] for c in range(-7, 8)], dtype=np.float32
-)
-
-# Largest |code| a bitlinear input can hold (int8's -128); a float32 sum of
-# K such codes times ternary codes stays exact while K * 128 <= 2^24.
-_MAX_INPUT_CODE = 128
+# Largest |lattice point| a bitlinear input can hold (int8's -128); a float32
+# sum of K such points times ternary codes stays exact while K * it <= 2^24.
+_INPUT_PEAK = max(LATTICES[kind].peak for kind in INPUT_KINDS)
 
 
 class InputCodes(NamedTuple):
@@ -337,21 +329,12 @@ def input_codes(xv, scheme: QuantScheme, k_fraction: float | None = None) -> Inp
     This is the one place a projection input becomes integer codes; the
     dense and gate-first FFN paths and the sparsity reports all read it.
     """
-    # the code-product multiplier: a product of input and weight codes times
-    # (group scale / divisor) * alpha is the projection
-    kind = scheme.kind
-    if kind is SchemeKind.INT4_ABSMEAN:
-        divisor = _INT4_DIVISOR
-    elif kind is SchemeKind.INT8_ABSMAX:
-        divisor = _INT8_DIVISOR
-    elif kind is SchemeKind.FP4_MINMAX:
-        divisor = _FP4_DIVISOR
-    else:
-        raise ValueError(f"unsupported bitlinear input scheme {kind}")
+    if scheme.kind not in INPUT_KINDS:
+        raise ValueError(f"unsupported bitlinear input scheme {scheme.kind}")
     q = quantize(xv, scheme)
-    codes = q.codes
-    if kind is SchemeKind.FP4_MINMAX:
-        codes = _FP4_DOUBLED[codes.astype(np.intp) + 7]
+    # the code-product multiplier: a product of input lattice points and
+    # weight codes times (group scale / divisor) * alpha is the projection
+    codes, divisor = lattice_codes(q)
     row_factor = q.scales[..., None] / divisor
     mask = None
     if k_fraction is not None:
@@ -386,11 +369,12 @@ def code_matmul(codes: np.ndarray, wcodes: np.ndarray) -> np.ndarray:
     """codes @ wcodes.T over float32 integer codes, returned as float64.
 
     Every product and partial sum is an integer of magnitude at most
-    128 * K <= 2^24, so float32 holds each exactly and the result equals the
-    float64 product bit for bit, whatever the summation order.
+    128 * K <= 2^24 (128: the largest input lattice point), so float32 holds
+    each exactly and the result equals the float64 product bit for bit,
+    whatever the summation order.
     """
     k = codes.shape[-1]
-    if k * _MAX_INPUT_CODE > 2**24:
+    if k * _INPUT_PEAK > 2**24:
         raise ValueError(f"a code matmul over K={k} would not be exact in float32")
     flat = codes.reshape(-1, k) @ wcodes.T
     return flat.astype(np.float64).reshape(*codes.shape[:-1], wcodes.shape[0])

@@ -186,24 +186,9 @@ def resolve_config(config_file: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    names = (f.name for f in dataclasses.fields(ModelConfig))
-    return ModelConfig(**{name: cfg[name] for name in names if name in cfg})
-
-
-def _trainer_config(cfg: dict) -> TrainerConfig:
-    return TrainerConfig(
-        total_steps=cfg["total_steps"],
-        stage_split=cfg["stage_split"],
-        peak_lr=cfg["peak_lr"],
-        second_stage_lr=cfg["second_stage_lr"],
-        wd_first=cfg["wd_first"],
-        wd_second=cfg["wd_second"],
-        warmup_steps=cfg["warmup_steps"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        single_stage=Stage(cfg["single_stage"]) if cfg["single_stage"] else None,
-    )
+def _from_cfg(cls, cfg: dict):
+    """A ModelConfig or TrainerConfig from the config's values of its fields."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg})
 
 
 def _chain(cfg: dict) -> MarkovChain:
@@ -264,10 +249,10 @@ def cmd_train(cfg: dict, args) -> int:
         raise ConfigError(f"--steps must be at least 0, got {cfg['total_steps']}")
     if cfg["batch_size"] < 1:
         raise ConfigError(f"--batch-size must be at least 1, got {cfg['batch_size']}")
-    model = TransformerModel(_model_config(cfg), seed=cfg["seed"])
+    model = TransformerModel(_from_cfg(ModelConfig, cfg), seed=cfg["seed"])
     trainer = stream = None
     if cfg["total_steps"] > 0:
-        trainer = _trainer_config(cfg)
+        trainer = _from_cfg(TrainerConfig, cfg)
         stream = batch_stream(_chain(cfg), cfg["batch_size"], cfg["seq_len"], cfg["stream_seed"])
     out = _out_dir(args)
     data_extra = {

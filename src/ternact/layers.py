@@ -216,14 +216,9 @@ def kv_codes(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> tuple[n
     raises ValueError. Like ``quantize``, a pure map: a NaN or inf makes its
     group non-finite.
     """
-    return _kv_codes(values, kv_levels(positions, kv_bits))
-
-
-def _kv_codes(values: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # kv_codes at the (T, 1) level counts of its positions
     values = np.asarray(values, dtype=np.float64)
     scales = np.maximum.reduce(np.abs(values), axis=-1, keepdims=True)
-    return unsigned_codes(values, scales, levels), scales
+    return unsigned_codes(values, scales, kv_levels(positions, kv_bits)), scales
 
 
 def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions, cache: KvCache | None = None) -> np.ndarray:
@@ -231,16 +226,19 @@ def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions, cache: KvC
     ``kv_code_bits`` (see ``kv_codes``).
 
     With a ``cache`` of the same kv_bits, ``values`` are K and V stacked as
-    (2, ..., n_heads, T, head_dim) at ``positions``, the next T positions
-    the cache stores: they are quantized once, straight into the cache
-    (``KvCache.store``), and the result is every stored position, read back
-    as ``KvCache.read`` does. A decode step quantizes its new K/V only here.
+    (2, ..., n_heads, T, head_dim) at ``positions``, which must be the next T
+    positions the cache stores: they are quantized once, straight into the
+    cache (``KvCache.store``; kv_bits=8 stores them raw), and the result is
+    every stored position, read back as ``KvCache.read`` does. A cached
+    forward stores its new K/V only here.
     """
     if cache is None:
-        levels = kv_levels(positions, kv_bits)
-        return unsigned_values(*_kv_codes(values, levels), levels)
+        return unsigned_values(*kv_codes(values, kv_bits, positions), kv_levels(positions, kv_bits))
     if cache.kv_bits != kv_bits:
         raise ValueError(f"cache stores kv_bits={cache.kv_bits}, the fake-quant runs at {kv_bits}")
+    start = len(cache)
+    if list(positions) != list(range(start, start + np.asarray(values).shape[-2])):
+        raise ValueError(f"positions {list(positions)} are not the next ones of a cache holding {start}")
     cache.store(values)
     return cache.read()
 
@@ -382,11 +380,8 @@ def attention_forward(
     if h % n_heads != 0:
         raise ValueError(f"hidden size {h} not divisible by {n_heads} heads")
     check_bit_widths(kv_bits, q_bits)
-    if cache is not None:
-        if ad.grad_enabled():
-            raise ValueError("a KV cache serves inference only; run the forward under no_grad")
-        if cache.kv_bits != kv_bits:
-            raise ValueError(f"cache stores kv_bits={cache.kv_bits}, attention runs at {kv_bits}")
+    if cache is not None and ad.grad_enabled():
+        raise ValueError("a KV cache serves inference only; run the forward under no_grad")
     qkv = bitlinear_forward(qkv_layer, x)
     return bitlinear_forward(out_layer, attention_core(qkv, n_heads, kv_bits, q_bits, cache))
 
@@ -416,14 +411,10 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
     q, k, v = qk[0], qk[1], heads[2]
     if q_bits == 4:
         q = fake_quant(q, _Q4)
-    if kv_bits != 8:
-        # at kv8 K and V stay views: the adjoint holds them without a copy.
-        # With a cache the new K/V are quantized once, into the cache, and
-        # every stored position comes back.
+    if kv_bits != 8 or cache is not None:
+        # at kv8 without a cache K and V stay views, which the adjoint holds
+        # without a copy
         k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, positions, cache)
-    elif cache is not None:
-        cache.extend(k, v)
-        k, v = cache.read()
 
     scores = (q @ k.swapaxes(-1, -2)) * scale
     if t > 1:  # one query's mask is all zeros

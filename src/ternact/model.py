@@ -102,6 +102,10 @@ def _check_site_binding(name: str, binding) -> None:
 
 @dataclass
 class Block:
+    """One transformer block. The field order is the order of its parameters
+    in ``named_parameters`` (and so in a checkpoint) and of its projections
+    in ``projection_layers``."""
+
     attn_norm: Var
     qkv: BitLinearLayer
     attn_out: BitLinearLayer
@@ -144,22 +148,14 @@ class TransformerModel:
     def named_parameters(self) -> dict[str, Var]:
         params: dict[str, Var] = {"embedding": self.embedding}
         for i, blk in enumerate(self.blocks):
-            params[f"blocks.{i}.attn_norm"] = blk.attn_norm
-            params[f"blocks.{i}.qkv"] = blk.qkv.latent_weights
-            params[f"blocks.{i}.attn_out"] = blk.attn_out.latent_weights
-            params[f"blocks.{i}.ffn_norm"] = blk.ffn_norm
-            params[f"blocks.{i}.gate"] = blk.gate.latent_weights
-            params[f"blocks.{i}.up"] = blk.up.latent_weights
-            params[f"blocks.{i}.down"] = blk.down.latent_weights
+            for name, part in vars(blk).items():
+                params[f"blocks.{i}.{name}"] = part.latent_weights if isinstance(part, BitLinearLayer) else part
         params["final_norm"] = self.final_norm
         params["head"] = self.head
         return params
 
     def projection_layers(self) -> list[BitLinearLayer]:
-        layers = []
-        for blk in self.blocks:
-            layers.extend([blk.qkv, blk.attn_out, blk.gate, blk.up, blk.down])
-        return layers
+        return [part for blk in self.blocks for part in vars(blk).values() if isinstance(part, BitLinearLayer)]
 
 
 def stage_bindings(stage: Stage, fp4_mode: bool) -> dict[Site, tuple[QuantScheme | None, float | None]]:

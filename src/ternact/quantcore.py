@@ -4,6 +4,10 @@
 float tensor to integer-valued float32 codes plus real scales and back;
 projections, reports and ``.q48`` files read those codes as they are, and the
 KV cache quantizes through the same unsigned core, ``unsigned_codes``.
+``LATTICES`` owns the signed code format: each kind's code range, the integer
+lattice point a code stands for, and the divisor, so a value is (point /
+divisor) * scale. ``dequantize``, the projections' code matmul and the
+``.q48`` reader's range check all read it.
 No quantizer scans for NaN or inf: one gives its group a non-finite scale,
 and ``model.model_forward``'s per-block check stops it.
 Weights quantize with one scale per tensor; activations default to one scale
@@ -58,10 +62,6 @@ def operand(value: float) -> np.ndarray:
 
 _ZERO, _HALF, _ONE, _TWO = operand(0.0), operand(0.5), operand(1.0), operand(2.0)
 _EPS, _SQRT7, _INT8_MAX, _TIE_GRID = operand(EPS), operand(SQRT7), operand(127.0), operand(TIE_GRID)
-# code ranges of the schemes _round_clip serves
-_TERNARY_RANGE = operand(-1.0), _ONE
-_INT8_RANGE = operand(-128.0), _INT8_MAX
-_INT4_RANGE = operand(-8.0), operand(7.0)
 
 # Nonnegative magnitudes representable in E2M1, up to the group scale.
 E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
@@ -79,6 +79,10 @@ class SchemeKind(enum.Enum):
     INT4_ABSMEAN = "int4_absmean"  # scale multiplier * mean(|X|), codes in [-8, 7]
     FP4_MINMAX = "fp4_minmax"  # nearest E2M1 point x scale, max(|X|) lands on 6
     UNSIGNED_ABSMAX = "unsigned_absmax"  # [-max(|X|), max(|X|)] onto [0, 2^bits - 1]
+
+    # members are singletons equal only to themselves: the identity hash spares
+    # each LATTICES lookup on a projection's path Enum's Python-level __hash__
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -151,13 +155,50 @@ class QuantizedTensor(NamedTuple):
     scheme: QuantScheme
 
 
-def _round_clip(t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Round the fresh array t half away from zero and clip it to [lo, hi],
-    in place."""
-    t += np.copysign(_HALF, t)
-    np.trunc(t, out=t)
-    np.maximum(t, lo, out=t)
-    return np.minimum(t, hi, out=t)
+class Lattice(NamedTuple):
+    """A signed kind's code format: a code in [lo, hi] names an integer
+    lattice point, the code itself or ``points[code - lo]``, and the value is
+    (point / divisor) * scale."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    divisor: np.ndarray
+    points: np.ndarray | None = None
+
+    @property
+    def peak(self) -> float:
+        """The largest |lattice point|."""
+        return float(np.max(np.abs((self.lo, self.hi) if self.points is None else self.points)))
+
+
+# fp4 codes index the E2M1 grid, whose points lie on a half-integer lattice;
+# doubled, they are the integers -12..12 (index c + 7 holds code c).
+_FP4_POINTS = np.concatenate((-2.0 * E2M1_GRID[:0:-1], 2.0 * E2M1_GRID)).astype(np.float32)
+
+# The one owner of the signed code format: ranges, lattice maps, divisors.
+LATTICES: dict[SchemeKind, Lattice] = {
+    SchemeKind.TERNARY_ABSMEAN: Lattice(operand(-1.0), _ONE, _ONE),
+    SchemeKind.INT8_ABSMAX: Lattice(operand(-128.0), _INT8_MAX, _INT8_MAX),
+    SchemeKind.INT4_ABSMEAN: Lattice(operand(-8.0), operand(7.0), _SQRT7),
+    SchemeKind.FP4_MINMAX: Lattice(operand(-7.0), operand(7.0), _TWO, _FP4_POINTS),
+}
+
+
+def code_range(scheme: QuantScheme) -> tuple[float, float]:
+    """The closed range of ``scheme``'s integer codes."""
+    if scheme.kind is SchemeKind.UNSIGNED_ABSMAX:
+        return 0.0, float(2**scheme.bits - 1)
+    lattice = LATTICES[scheme.kind]
+    return float(lattice.lo), float(lattice.hi)
+
+
+def lattice_codes(q: QuantizedTensor) -> tuple[np.ndarray, np.ndarray]:
+    """A signed QuantizedTensor's codes as float32 lattice points (only fp4
+    maps them, onto the doubled E2M1 grid), and the kind's divisor."""
+    lattice = LATTICES[q.scheme.kind]
+    if lattice.points is None:
+        return q.codes, lattice.divisor
+    return lattice.points[np.asarray(q.codes).astype(np.intp) - int(lattice.lo)], lattice.divisor
 
 
 def _group_absmax(x: np.ndarray, granularity: Granularity) -> np.ndarray:
@@ -230,24 +271,7 @@ def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
         raise ValueError("a per-token scheme needs a feature axis; quantize a 0-d tensor "
                          "per tensor (--per-tensor)")
     kind = scheme.kind
-    # each branch computes a fresh array (asarray: a 0-d result is a scalar)
-    # and rounds and clips it in place
-    if kind is SchemeKind.TERNARY_ABSMEAN:
-        scales = _group_absmean(arr, granularity)
-        codes = _round_clip(np.asarray(arr / (scales + _EPS)), *_TERNARY_RANGE)
-    elif kind is SchemeKind.INT8_ABSMAX:
-        scales = _group_absmax(arr, granularity)
-        t = np.asarray(_INT8_MAX * arr)
-        t /= _expand(scales, granularity) + _EPS
-        codes = _round_clip(t, *_INT8_RANGE)
-    elif kind is SchemeKind.INT4_ABSMEAN:
-        scales = _group_absmean(arr, granularity)
-        if scheme.multiplier != 1.0:  # 1.0 * s is s, bit for bit
-            scales = scheme.multiplier * scales
-        t = np.asarray(_SQRT7 * arr)
-        t /= _expand(scales, granularity) + _EPS
-        codes = _round_clip(t, *_INT4_RANGE)
-    elif kind is SchemeKind.FP4_MINMAX:
+    if kind is SchemeKind.FP4_MINMAX:
         # One pass of s -> (6s)/6 makes the scale stable under requantization:
         # the map is a projection in float64, so fake_quant stays idempotent
         # even when 6*s rounds.
@@ -261,31 +285,39 @@ def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
         scales = _group_absmax(arr, granularity)
         codes = unsigned_codes(arr, _expand(scales, granularity), float(2**scheme.bits - 1))
     else:
-        raise ValueError(f"unknown scheme kind: {kind}")
+        # ternary, int8 and int4 invert dequantize's (point / divisor) * scale:
+        # divisor * x / scale in one fresh array (asarray: a 0-d result is a
+        # scalar), rounded half away from zero and clipped in place
+        scales = (_group_absmax if kind is SchemeKind.INT8_ABSMAX else _group_absmean)(arr, granularity)
+        if kind is SchemeKind.INT4_ABSMEAN and scheme.multiplier != 1.0:  # 1.0 * s is s, bit for bit
+            scales = scheme.multiplier * scales
+        lattice = LATTICES[kind]
+        t = np.asarray(lattice.divisor * arr)
+        t /= _expand(scales, granularity) + _EPS
+        t += np.copysign(_HALF, t)
+        np.trunc(t, out=t)
+        np.maximum(t, lattice.lo, out=t)
+        codes = np.minimum(t, lattice.hi, out=t)
     return QuantizedTensor(codes.astype(np.float32), np.asarray(scales), scheme)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Map a QuantizedTensor's codes back to real values.
+    """Map a QuantizedTensor's codes back to real values: (lattice point /
+    divisor) * scale for the signed kinds (``lattice_codes``), and
+    ``unsigned_values`` for the unsigned family.
 
     Division-before-scale ordering is deliberate: the extreme code divides to
     exactly 1.0, so requantizing a dequantized tensor recovers the same group
     scale bit-exactly.
     """
-    kind = q.scheme.kind
     s = _expand(np.asarray(q.scales, dtype=np.float64), q.scheme.granularity)
-    c = np.asarray(q.codes, dtype=np.float64)
-    if kind is SchemeKind.TERNARY_ABSMEAN:
-        return c * s
-    if kind is SchemeKind.INT8_ABSMAX:
-        return (c / 127.0) * s
-    if kind is SchemeKind.INT4_ABSMEAN:
-        return (c / SQRT7) * s
-    if kind is SchemeKind.FP4_MINMAX:
-        return np.sign(c) * E2M1_GRID[np.abs(c).astype(np.int64)] * s
-    if kind is SchemeKind.UNSIGNED_ABSMAX:
-        return unsigned_values(c, s, float(2**q.scheme.bits - 1))
-    raise ValueError(f"unknown scheme kind: {kind}")
+    if q.scheme.kind is SchemeKind.UNSIGNED_ABSMAX:
+        return unsigned_values(np.asarray(q.codes, dtype=np.float64), s, float(2**q.scheme.bits - 1))
+    points, divisor = lattice_codes(q)
+    # one fresh float64 array (the widening is exact), scaled in place
+    out = np.divide(points, divisor, dtype=np.float64)
+    out *= s
+    return out
 
 
 def fake_quant(x, scheme: QuantScheme) -> np.ndarray:

@@ -5,7 +5,9 @@ then the values as little-endian f32 in row-major order. Quantized tensors
 reuse the header with the top bit of the rank byte set, followed by a scheme
 descriptor, the f32 scale array (with its own rank/dims), and one code byte
 per entry (i8, or u8 for the unsigned family; sub-byte packing is out of
-scope); reading widens them back to the float32 codes ``quantize`` returns.
+scope); reading widens them back to the float32 codes ``quantize`` returns,
+and refuses a code outside its scheme's ``quantcore.code_range`` or scales
+of a shape the granularity does not give.
 Checkpoints are a ``BA48CKPT1`` magic, a length-prefixed JSON header carrying
 the model configuration and parameter order, and one dense block per
 parameter in that order. Values are stored as f32, so loading widens
@@ -23,7 +25,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .model import ModelConfig, TransformerModel
-from .quantcore import Granularity, QuantizedTensor, QuantScheme, SchemeKind
+from .quantcore import Granularity, QuantizedTensor, QuantScheme, SchemeKind, code_range
 
 TENSOR_MAGIC = b"BA48"
 CHECKPOINT_MAGIC = b"BA48CKPT1"
@@ -135,8 +137,14 @@ def read_quantized(f: BinaryIO) -> QuantizedTensor:
         .astype(np.float64)
         .reshape(scale_shape)
     )
+    if scale_shape != (shape[:-1] if per_token else ()) or (per_token and not shape):
+        raise FormatError(f"scales of shape {scale_shape} do not fit {granularity.value} codes {shape}")
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     codes = np.frombuffer(_read_exact(f, count), dtype=_code_dtype(scheme)).astype(np.float32)
+    lo, hi = code_range(scheme)
+    bad = codes[(codes < lo) | (codes > hi)]
+    if bad.size:
+        raise FormatError(f"code {bad[0]:g} outside the {kind.value} code range [{lo:g}, {hi:g}]")
     return QuantizedTensor(codes.reshape(shape), scales, scheme)
 
 

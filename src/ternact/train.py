@@ -26,6 +26,7 @@ from .quantcore import QuantScheme, fake_quant
 from .sparsify import topk_mask
 
 ADAM_BETAS = (0.9, 0.95)
+CLIP_NORM = 1.0  # gradients are rescaled to at most this global norm
 ADAM_EPS = 1e-8
 FD_EPS = 1e-5  # central finite-difference step of grad_check_ste
 
@@ -39,7 +40,6 @@ class TrainerConfig:
     wd_first: float = 0.1
     wd_second: float = 0.0
     warmup_steps: int = 50
-    clip_norm: float = 1.0
     batch_size: int = 16
     seed: int = 0
     single_stage: Stage | None = None
@@ -59,11 +59,13 @@ class TrainerConfig:
             raise ValueError(f"warmup_steps must be at least 0, got {self.warmup_steps}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be positive")
+        if self.single_stage is not None:
+            self.single_stage = Stage(self.single_stage)
 
     @property
     def stage1_steps(self) -> int:
         if self.single_stage is not None:
-            return self.total_steps if Stage(self.single_stage) is Stage.STAGE1 else 0
+            return self.total_steps if self.single_stage is Stage.STAGE1 else 0
         return int(round(self.stage_split * self.total_steps))
 
 
@@ -197,8 +199,8 @@ def train_step(
     norm = global_grad_norm(params)
     if not math.isfinite(norm):
         return loss_val, norm
-    if norm > config.clip_norm > 0.0:
-        factor = config.clip_norm / norm
+    if norm > CLIP_NORM:
+        factor = CLIP_NORM / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad = p.grad * factor

@@ -430,6 +430,15 @@ class TestKvCache:
         with pytest.raises(ValueError, match="kv_bits=3"):
             kv_fake_quant_values(RNG.standard_normal((2, 2, 1, 8)), 4, range(1), KvCache(3))
 
+    @pytest.mark.parametrize("positions", [range(5, 6), np.array([1]), range(0, 2)], ids=["later", "array", "longer"])
+    def test_store_rejects_positions_the_cache_does_not_hold_next(self, positions):
+        # a cached fake-quant stores at the cache's next positions; any other
+        # positions are refused before the cache changes, not stored at them
+        cache = KvCache(3)
+        with pytest.raises(ValueError, match="not the next ones"):
+            kv_fake_quant_values(RNG.standard_normal((2, 1, 2, 1, 8)), 3, positions, cache)
+        assert len(cache) == 0
+
     @pytest.mark.parametrize("kv_bits", [3, 4, 8])
     def test_growth_keeps_every_position(self, kv_bits):
         # uneven chunks grow the cache three times; a raw read

@@ -329,6 +329,92 @@ class TestDequantize:
             assert dequantize(quantize(x, scheme)).shape == x.shape
 
 
+def reference_codes(x, q):
+    """The ternary/int8/int4 quantizer as its formulas, at the scales ``q``
+    holds: divisor * x / (scale + EPS), rounded half away and clipped."""
+    lo, hi = CODE_RANGES[q.scheme.kind]
+    s = q.scales if q.scheme.granularity is Granularity.PER_TENSOR else q.scales[..., None]
+    if q.scheme.kind is SchemeKind.TERNARY_ABSMEAN:
+        t = np.asarray(x / (s + EPS))
+    else:
+        t = np.asarray({SchemeKind.INT8_ABSMAX: 127.0, SchemeKind.INT4_ABSMEAN: SQRT7}[q.scheme.kind] * x / (s + EPS))
+    return np.minimum(np.maximum(np.trunc(t + np.copysign(0.5, t)), lo), hi).astype(np.float32)
+
+
+def reference_dequantize(q):
+    """Each kind's dequantizer as its own formula."""
+    kind = q.scheme.kind
+    s = np.asarray(q.scales, dtype=np.float64)
+    if q.scheme.granularity is Granularity.PER_TOKEN:
+        s = s[..., None]
+    c = np.asarray(q.codes, dtype=np.float64)
+    if kind is SchemeKind.TERNARY_ABSMEAN:
+        return c * s
+    if kind is SchemeKind.INT8_ABSMAX:
+        return (c / 127.0) * s
+    if kind is SchemeKind.INT4_ABSMEAN:
+        return (c / SQRT7) * s
+    if kind is SchemeKind.FP4_MINMAX:
+        return np.sign(c) * E2M1_GRID[np.abs(c).astype(np.int64)] * s
+    levels = float(2**q.scheme.bits - 1)
+    return (2.0 * (c / levels) - 1.0) * s
+
+
+def _reference_inputs():
+    rng = np.random.default_rng(29)
+    normal = rng.standard_normal((3, 8))
+    with_nan, with_inf = normal.copy(), normal.copy()
+    with_nan[1, 2] = np.nan
+    with_inf[0, 1], with_inf[2, 5] = np.inf, -np.inf
+    signed_zeros = normal.copy()
+    signed_zeros[:, ::2] = -0.0
+    signed_zeros[2] = -0.0
+    return {
+        "normal": normal,
+        "tied": np.array([[2.5, -2.5, 0.5, -0.5, 1.5, -1.5, 0.0, 1.0], [3.0, 3.0, -3.0, 1.0, 1.0, 0.0, -0.0, 2.0]]),
+        "tiny": normal * 1e-300,
+        "huge": normal * 1e307,
+        "nan": with_nan,
+        "inf": with_inf,
+        "negative-zero": signed_zeros,
+        "0-d": np.array(-1.75),
+    }
+
+
+REFERENCE_INPUTS = _reference_inputs()
+REFERENCE_CASES = [
+    (name, granularity, inp)
+    for name in sorted(SCHEMES)
+    for granularity in Granularity
+    for inp in REFERENCE_INPUTS
+    if not (granularity is Granularity.PER_TOKEN and (name == "ternary" or inp == "0-d"))
+]
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)  # NaN matches NaN
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestReferenceFormulas:
+    """``quantize`` and ``dequantize`` read every signed kind's format from
+    ``LATTICES``; they match the per-kind formulas bit for bit, signbit
+    included, on every scheme and granularity."""
+
+    @pytest.mark.parametrize("name,granularity,inp", REFERENCE_CASES,
+                             ids=[f"{n}-{g.value}-{i}" for n, g, i in REFERENCE_CASES])
+    def test_matches_the_per_kind_formulas(self, name, granularity, inp):
+        x = REFERENCE_INPUTS[inp]
+        scheme = dataclasses.replace(SCHEMES[name], granularity=granularity)
+        with np.errstate(all="ignore"):
+            q = quantize(x, scheme)
+            if scheme.kind in (SchemeKind.TERNARY_ABSMEAN, SchemeKind.INT8_ABSMAX, SchemeKind.INT4_ABSMEAN):
+                assert_same_bits(q.codes, reference_codes(x, q))
+            assert_same_bits(dequantize(q), reference_dequantize(q))
+
+
 class TestFakeQuant:
     def test_identity_scheme_passthrough(self):
         # every entry lies on the per-tensor fp4 grid (scale 2.25 / 6)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ternact.model import ModelConfig, Stage, TransformerModel
-from ternact.quantcore import SCHEMES, Granularity, QuantScheme, quantize
+from ternact.quantcore import SCHEMES, Granularity, QuantizedTensor, QuantScheme, SchemeKind, quantize
 from ternact.tensorio import (
     FormatError,
     load_checkpoint,
@@ -140,6 +140,50 @@ class TestQuantizedTensor:
         buf.seek(0)
         with pytest.raises(FormatError):
             read_quantized(buf)
+
+    # (scheme, stored code, whether it is in the scheme's range): both ends
+    # of every range and one past each end where the code byte can hold it.
+    # int8 fills its i8 byte, so it has no past-end byte; unsigned codes are
+    # u8, so only the high end has one.
+    CODE_EDGES = [
+        ("ternary", -1, True), ("ternary", 1, True), ("ternary", -2, False), ("ternary", 2, False),
+        ("int8", -128, True), ("int8", 127, True),
+        ("int4", -8, True), ("int4", 7, True), ("int4", -9, False), ("int4", 8, False),
+        ("int4", 100, False), ("int4", -50, False),
+        ("int4x2", -8, True), ("int4x2", 7, True), ("int4x2", -9, False), ("int4x2", 8, False),
+        ("fp4", -7, True), ("fp4", 7, True), ("fp4", -8, False), ("fp4", 8, False), ("fp4", 9, False),
+        ("unsigned4", 0, True), ("unsigned4", 15, True), ("unsigned4", 16, False),
+        ("unsigned3", 0, True), ("unsigned3", 7, True), ("unsigned3", 8, False), ("unsigned3", 206, False),
+    ]
+
+    @pytest.mark.parametrize("name,code,legal", CODE_EDGES, ids=[f"{n}{c:+d}" for n, c, _ in CODE_EDGES])
+    def test_reader_checks_codes_against_the_scheme_range(self, name, code, legal):
+        # a stored code outside its scheme's range is refused at load, not
+        # turned into a value past the group scale (or an IndexError for fp4)
+        q = quantize(np.random.default_rng(3).standard_normal((2, 4)), SCHEMES[name])
+        buf = io.BytesIO()
+        write_quantized(buf, q)
+        dtype = np.uint8 if SCHEMES[name].kind is SchemeKind.UNSIGNED_ABSMAX else np.int8
+        block = buf.getvalue()[:-1] + np.array([code], dtype=dtype).tobytes()
+        if not legal:
+            with pytest.raises(FormatError, match="outside"):
+                read_quantized(io.BytesIO(block))
+            return
+        out = read_quantized(io.BytesIO(block))
+        assert out.codes[-1, -1] == code
+        np.testing.assert_array_equal(out.codes[:-1], q.codes[:-1])
+
+    @pytest.mark.parametrize(
+        "codes_shape,scales_shape,granularity",
+        [((2, 4), (4,), Granularity.PER_TOKEN), ((2, 4), (2,), Granularity.PER_TENSOR), ((), (), Granularity.PER_TOKEN)],
+        ids=["per-token-feature-axis", "per-tensor-vector", "per-token-scalar"],
+    )
+    def test_reader_checks_scales_against_the_codes(self, codes_shape, scales_shape, granularity):
+        q = QuantizedTensor(np.zeros(codes_shape, np.float32), np.ones(scales_shape), QuantScheme.int8(granularity))
+        buf = io.BytesIO()
+        write_quantized(buf, q)
+        with pytest.raises(FormatError, match="do not fit"):
+            read_quantized(io.BytesIO(buf.getvalue()))
 
     def test_file_helpers(self, tmp_path):
         q = quantize(np.random.default_rng(2).standard_normal((3, 8)), QuantScheme.int4())

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ternact import autodiff as ad
+from ternact import train
 from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
 from ternact.model import ModelConfig, NonFiniteValueError, Stage, TransformerModel, model_forward
 from ternact.quantcore import QuantScheme, SchemeKind, fake_quant
@@ -100,6 +101,11 @@ class TestSchedule:
         assert TrainerConfig(total_steps=1000, stage_split=0.95).stage1_steps == 950
         assert TrainerConfig(total_steps=200, single_stage=Stage.STAGE1).stage1_steps == 200
         assert TrainerConfig(total_steps=200, single_stage=Stage.STAGE2).stage1_steps == 0
+
+    def test_single_stage_is_coerced_to_a_stage(self):
+        assert TrainerConfig(single_stage="stage2").single_stage is Stage.STAGE2
+        with pytest.raises(ValueError):
+            TrainerConfig(single_stage="stage3")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -222,12 +228,12 @@ class TestTrainStep:
         assert "blocks.0.qkv" in changed and "head" in changed
         assert state.step == 1
 
-    def test_clip_caps_stored_gradients(self):
+    def test_clip_caps_stored_gradients(self, monkeypatch):
         model = tiny_model(seed=1)
         batch = next(tiny_stream())
         state = OptimizerState.init(model)
-        cfg = TrainerConfig(total_steps=10, clip_norm=1e-3)
-        _, norm = train_step(model, batch, state, cfg, step=0)
+        monkeypatch.setattr(train, "CLIP_NORM", 1e-3)
+        _, norm = train_step(model, batch, state, TrainerConfig(total_steps=10), step=0)
         assert norm > 1e-3
         after = global_grad_norm(model.named_parameters())
         assert after == pytest.approx(1e-3, rel=1e-9)
