@@ -206,14 +206,18 @@ def silu(a: Var) -> Var:
     return Var(out, (a,), lambda g: (g * (s + out * (1.0 - s)),))
 
 
-def rmsnorm(x: Var, gain: Var, eps: float = 1e-6) -> Var:
-    """x / sqrt(mean(x^2) + eps) * gain over the last axis."""
+# added to the mean square under rmsnorm's square root
+RMSNORM_EPS = 1e-6
+
+
+def rmsnorm(x: Var, gain: Var) -> Var:
+    """x / sqrt(mean(x^2) + RMSNORM_EPS) * gain over the last axis."""
     x, gain = as_var(x), as_var(gain)
     xv = x.value
     n = xv.shape[-1]
     # r has one entry per row: at a decode step's one row, a new array is
     # cheaper than an in-place update
-    r = np.sqrt(np.add.reduce(xv * xv, axis=-1, keepdims=True) / n + eps)
+    r = np.sqrt(np.add.reduce(xv * xv, axis=-1, keepdims=True) / n + RMSNORM_EPS)
     gv = gain.value
 
     def backward(g):
@@ -225,10 +229,11 @@ def rmsnorm(x: Var, gain: Var, eps: float = 1e-6) -> Var:
     return Var(xv / r * gv, (x, gain), backward)
 
 
-def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = a - np.maximum.reduce(a, axis=axis, keepdims=True)
+def softmax(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = a - np.maximum.reduce(a, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

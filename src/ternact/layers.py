@@ -204,36 +204,26 @@ def kv_levels(positions: np.ndarray, kv_bits: int) -> np.ndarray:
     return np.where(bos, 2.0 ** kv_code_bits(0, kv_bits) - 1.0, 2.0**kv_bits - 1.0)[:, None]
 
 
-def kv_codes(values: np.ndarray, kv_bits: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize (..., T, head_dim) K or V heads at absolute ``positions``,
-    each position at ``kv_code_bits``, per head per position, in one pass.
-
-    Returns the codes and the scales as (..., T, 1); with ``kv_levels`` they
-    dequantize through ``unsigned_values``. Each position's codes equal
-    ``quantize`` under ``QuantScheme.unsigned(kv_code_bits(position,
-    kv_bits))``. The attention fake-quant and the cache store quantize
-    through the same core, with levels they hold. kv_bits=8 is raw and
-    raises ValueError. Like ``quantize``, a pure map: a NaN or inf makes its
-    group non-finite.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    scales = np.maximum.reduce(np.abs(values), axis=-1, keepdims=True)
-    return unsigned_codes(values, scales, kv_levels(positions, kv_bits)), scales
-
-
 def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions, cache: KvCache | None = None) -> np.ndarray:
-    """Fake-quantize (..., T, head_dim) per head per position at
-    ``kv_code_bits`` (see ``kv_codes``).
+    """Fake-quantize (..., T, head_dim) K or V heads at absolute
+    ``positions``, per head per position, each position at ``kv_code_bits``,
+    in one pass: each position reads back as ``fake_quant`` under
+    ``QuantScheme.unsigned(kv_code_bits(position, kv_bits))``. kv_bits=8 is
+    raw and raises ValueError here. Without a cache, like ``quantize``, a
+    pure map: a NaN or inf makes its group non-finite.
 
     With a ``cache`` of the same kv_bits, ``values`` are K and V stacked as
     (2, ..., n_heads, T, head_dim) at ``positions``, which must be the next T
-    positions the cache stores: they are quantized once, straight into the
-    cache (``KvCache.store``; kv_bits=8 stores them raw), and the result is
-    every stored position, read back as ``KvCache.read`` does. A cached
-    forward stores its new K/V only here.
+    positions the cache stores: they are quantized once, through the same
+    core, straight into the cache (``KvCache.store``; kv_bits=8 stores them
+    raw), and the result is every stored position, read back as
+    ``KvCache.read`` does. A cached forward stores its new K/V only here.
     """
     if cache is None:
-        return unsigned_values(*kv_codes(values, kv_bits, positions), kv_levels(positions, kv_bits))
+        levels = kv_levels(positions, kv_bits)
+        values = np.asarray(values, dtype=np.float64)
+        scales = np.maximum.reduce(np.abs(values), axis=-1, keepdims=True)
+        return unsigned_values(unsigned_codes(values, scales, levels), scales, levels)
     if cache.kv_bits != kv_bits:
         raise ValueError(f"cache stores kv_bits={cache.kv_bits}, the fake-quant runs at {kv_bits}")
     start = len(cache)
@@ -250,11 +240,11 @@ class KvCache:
     K and V are stacked in one buffer, (2, ..., n_heads, capacity, head_dim),
     of uint8 codes beside one scale per head per position and one level
     count per position; kv_bits=8 disables quantization and stores raw
-    values. ``store`` is the one store path (``append``, ``extend`` and
-    ``kv_fake_quant_values(..., cache)`` call it): it quantizes new
-    positions once and writes their codes and scales in place after the
-    stored ones; a full buffer is copied into one of twice the capacity. A
-    read dequantizes the stored prefix in one call, each position at
+    values. ``store`` is the one store path (``kv_fake_quant_values(...,
+    cache)`` calls it): it quantizes new positions once and writes their
+    codes and scales in place after the stored ones; a full buffer is copied
+    into one of twice the capacity. ``read`` is the one read path: it
+    dequantizes the stored prefix in one call, each position at
     ``kv_code_bits``, so it is bit-equal to ``kv_fake_quant_values`` of the
     same positions. A NaN or inf entry leaves its head-position group
     reading back non-finite.
@@ -274,17 +264,6 @@ class KvCache:
 
     def __len__(self) -> int:
         return self._len
-
-    def append(self, k_heads: np.ndarray, v_heads: np.ndarray) -> None:
-        """Store one position's (..., n_heads, head_dim) K and V."""
-        self.extend(np.asarray(k_heads)[..., None, :], np.asarray(v_heads)[..., None, :])
-
-    def extend(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Store (..., n_heads, T, head_dim) K and V at the next T positions."""
-        k, v = np.asarray(k), np.asarray(v)
-        if k.shape != v.shape:
-            raise ValueError("K and V head shapes differ")
-        self.store(np.stack((k, v)))
 
     def store(self, kv: np.ndarray) -> None:
         """Store K and V stacked as (2, ..., n_heads, T, head_dim) at the next
@@ -327,7 +306,7 @@ class KvCache:
     def read(self) -> np.ndarray:
         """Dequantized keys and values in one call, stacked as (2, ...,
         n_heads, T, head_dim); at kv_bits=8 a read-only view of the stored
-        values, which later appends never write."""
+        values, which later stores never write."""
         if not self._len:
             raise ValueError("empty cache")
         n = self._len
@@ -336,21 +315,6 @@ class KvCache:
             kv.flags.writeable = False
             return kv
         return unsigned_values(self._kv[..., :n, :], self._scales[..., :n, :], self._levels[:n])
-
-    def keys(self) -> np.ndarray:
-        """Dequantized keys, shape (..., n_heads, T, head_dim)."""
-        return self.read()[0]
-
-    def values(self) -> np.ndarray:
-        """Dequantized values, as ``keys``."""
-        return self.read()[1]
-
-    def stored_code_bits(self, position: int) -> int:
-        """Bits the entries stored at ``position`` were quantized with; 8
-        means raw."""
-        if not 0 <= position < len(self):
-            raise IndexError(f"position {position} is not stored (length {len(self)})")
-        return kv_code_bits(position, self.kv_bits)
 
 
 def causal_mask(t: int, past: int = 0) -> np.ndarray:

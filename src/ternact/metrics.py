@@ -30,6 +30,8 @@ _ROW_SITE = {
     "down": Site.DOWN,
 }
 SITE_ROWS = tuple(_ROW_SITE)
+# values an activation histogram keeps at most, by a fixed stride
+HIST_SAMPLE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -103,15 +105,6 @@ def sparsity_report(model: TransformerModel, eval_stream, n_batches: int = 8) ->
     return SparsityReport(pct, params, overall, activated)
 
 
-def composed_up_sparsity(input_sparsity: float, gate_sparsity: float) -> float:
-    """Fraction of up-projection multiplies skipped when input zeros and
-    gate-killed channels combine: 1 - (1-a)(1-b)."""
-    for name, v in (("input_sparsity", input_sparsity), ("gate_sparsity", gate_sparsity)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
-    return 1.0 - (1.0 - input_sparsity) * (1.0 - gate_sparsity)
-
-
 @dataclass(frozen=True)
 class HistogramSpec:
     site: str
@@ -147,10 +140,9 @@ def activation_histogram(
     site,
     bins: int = 64,
     n_batches: int = 4,
-    sample_cap: int = 10**6,
 ) -> HistogramSpec:
     """Histogram of pre-quantization input values at one projection site,
-    deterministically subsampled to at most ``sample_cap`` values."""
+    deterministically subsampled to at most ``HIST_SAMPLE_CAP`` values."""
     site = Site(site)
     probe = Probe(keep_inputs=(site,))
     for _ in range(n_batches):
@@ -161,7 +153,7 @@ def activation_histogram(
     if not collected:
         raise ValueError(f"no activations captured for site {site.value!r}")
     flat = np.concatenate([a.ravel() for a in collected])
-    flat = _strided_cap(flat, sample_cap)
+    flat = _strided_cap(flat, HIST_SAMPLE_CAP)
     counts, edges = np.histogram(flat, bins=bins)
     return HistogramSpec(site.value, edges, counts)
 

@@ -7,7 +7,9 @@ descriptor, the f32 scale array (with its own rank/dims), and one code byte
 per entry (i8, or u8 for the unsigned family; sub-byte packing is out of
 scope); reading widens them back to the float32 codes ``quantize`` returns,
 and refuses a code outside its scheme's ``quantcore.code_range`` or scales
-of a shape the granularity does not give.
+of a shape the granularity does not give; writing refuses such a code
+first. Every length and dimension field is bounded by the bytes left in the
+(seekable) stream before it is read.
 Checkpoints are a ``BA48CKPT1`` magic, a length-prefixed JSON header carrying
 the model configuration and parameter order, and one dense block per
 parameter in that order. Values are stored as f32, so loading widens
@@ -18,7 +20,9 @@ parameter that is not finite in f32 is refused.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import math
 import struct
 from typing import BinaryIO
 
@@ -51,6 +55,13 @@ def _code_dtype(scheme: QuantScheme) -> np.dtype:
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:
+    # a length read from the stream is bounded by the bytes the stream holds
+    # before anything is allocated for it
+    start = f.tell()
+    left = f.seek(0, io.SEEK_END) - start
+    f.seek(start)
+    if n > left:
+        raise FormatError(f"truncated stream: wanted {n} bytes, {left} left")
     data = f.read(n)
     if len(data) != n:
         raise FormatError(f"truncated stream: wanted {n} bytes, got {len(data)}")
@@ -62,8 +73,11 @@ def _write_dims(f: BinaryIO, shape: tuple[int, ...]) -> None:
         f.write(struct.pack("<Q", dim))
 
 
-def _read_dims(f: BinaryIO, rank: int) -> tuple[int, ...]:
-    return tuple(struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(rank))
+def _read_dims(f: BinaryIO, rank: int) -> tuple[tuple[int, ...], int]:
+    """The shape and its element count, counted in Python ints so that no
+    product of u64 dims overflows."""
+    shape = tuple(struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(rank))
+    return shape, math.prod(shape)
 
 
 def write_tensor(f: BinaryIO, arr: np.ndarray) -> None:
@@ -83,14 +97,20 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
     rank = struct.unpack("<B", _read_exact(f, 1))[0]
     if rank & _QUANTIZED_FLAG:
         raise FormatError("quantized block where a dense tensor was expected")
-    shape = _read_dims(f, rank)
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    shape, count = _read_dims(f, rank)
     data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4")
     return data.astype(np.float64).reshape(shape)
 
 
 def write_quantized(f: BinaryIO, q: QuantizedTensor) -> None:
+    """Raises FormatError, before anything is written, for a code the reader
+    would refuse: one outside ``code_range(q.scheme)``, or not an integer."""
     scheme = q.scheme
+    lo, hi = code_range(scheme)
+    codes = q.codes
+    bad = codes[~((codes >= lo) & (codes <= hi) & (codes == np.round(codes)))]
+    if bad.size:
+        raise FormatError(f"code {bad[0]:g} is not an integer in the {scheme.kind.value} code range [{lo:g}, {hi:g}]")
     f.write(TENSOR_MAGIC)
     f.write(struct.pack("<B", q.codes.ndim | _QUANTIZED_FLAG))
     _write_dims(f, q.codes.shape)
@@ -117,7 +137,7 @@ def read_quantized(f: BinaryIO) -> QuantizedTensor:
     rank = struct.unpack("<B", _read_exact(f, 1))[0]
     if not rank & _QUANTIZED_FLAG:
         raise FormatError("dense block where a quantized tensor was expected")
-    shape = _read_dims(f, rank & ~_QUANTIZED_FLAG)
+    shape, count = _read_dims(f, rank & ~_QUANTIZED_FLAG)
     tag, bits, multiplier, per_token = struct.unpack("<BBBB", _read_exact(f, 4))
     if tag not in _TAG_SCHEMES:
         raise FormatError(f"unknown scheme tag {tag}")
@@ -128,10 +148,12 @@ def read_quantized(f: BinaryIO) -> QuantizedTensor:
         kwargs["bits"] = bits
     if kind is SchemeKind.INT4_ABSMEAN:
         kwargs["multiplier"] = float(multiplier)
-    scheme = QuantScheme(kind, granularity, **kwargs)
+    try:
+        scheme = QuantScheme(kind, granularity, **kwargs)
+    except ValueError as e:
+        raise FormatError(f"scheme descriptor names no scheme: {e}") from e
     scale_rank = struct.unpack("<B", _read_exact(f, 1))[0]
-    scale_shape = _read_dims(f, scale_rank)
-    scale_count = int(np.prod(scale_shape, dtype=np.int64)) if scale_shape else 1
+    scale_shape, scale_count = _read_dims(f, scale_rank)
     scales = (
         np.frombuffer(_read_exact(f, 4 * scale_count), dtype="<f4")
         .astype(np.float64)
@@ -139,7 +161,6 @@ def read_quantized(f: BinaryIO) -> QuantizedTensor:
     )
     if scale_shape != (shape[:-1] if per_token else ()) or (per_token and not shape):
         raise FormatError(f"scales of shape {scale_shape} do not fit {granularity.value} codes {shape}")
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     codes = np.frombuffer(_read_exact(f, count), dtype=_code_dtype(scheme)).astype(np.float32)
     lo, hi = code_range(scheme)
     bad = codes[(codes < lo) | (codes > hi)]

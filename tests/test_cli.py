@@ -474,6 +474,32 @@ def test_bad_input_leaves_no_out_dir(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command,offset,byte",
+    [("sparsity", 13, 0xFF), ("sparsity", 16, 0xFF), ("quant", 12, 0x7F)],
+    ids=["sparsity-header-length", "sparsity-header-length-top-byte", "quant-dim-top-byte"],
+)
+def test_length_field_past_the_file_is_one_error_line(trained_dir, tmp_path, capsys, command, offset, byte):
+    # a checkpoint's header length or a tensor's dim that claims more bytes
+    # than the file holds exits 1 with one error line, not a traceback
+    if command == "sparsity":
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes((trained_dir / "final.ckpt").read_bytes())
+        argv = ["sparsity", "--checkpoint", str(path)]
+    else:
+        path = tmp_path / "corrupt.ba48"
+        save_tensor(path, np.ones(16))
+        argv = ["quant", "--tensor", str(path), "--scheme", "int8"]
+    data = bytearray(path.read_bytes())
+    data[offset] = byte
+    path.write_bytes(bytes(data))
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [("hist", "--bins", "0"), ("hist", "--batches", "0"), ("hist", "--bins", "-2"),

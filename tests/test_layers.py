@@ -18,7 +18,6 @@ from ternact.layers import (
     causal_mask,
     ffn_forward,
     kv_code_bits,
-    kv_codes,
     kv_fake_quant_values,
     probing,
     relu2glu,
@@ -239,11 +238,9 @@ class TestKvCodeBits:
         k = RNG.standard_normal((2, 4, 8))
         cache = KvCache(kv_bits=kv_bits)
         for position in range(3):
-            cache.append(k, k)
-            bits = kv_code_bits(position, kv_bits)
-            assert cache.stored_code_bits(position) == bits
-            expected = fake_quant(k, QuantScheme.unsigned(bits))
-            np.testing.assert_array_equal(cache.keys()[..., position, :], expected)
+            cache.store(np.stack((k, k))[..., None, :])
+            expected = fake_quant(k, QuantScheme.unsigned(kv_code_bits(position, kv_bits)))
+            np.testing.assert_array_equal(cache.read()[0][..., position, :], expected)
             fq = kv_fake_quant_values(k[..., None, :], kv_bits, np.array([position]))
             np.testing.assert_array_equal(fq[..., 0, :], expected)
 
@@ -251,19 +248,19 @@ class TestKvCodeBits:
     @pytest.mark.parametrize("kv_bits", [3, 4])
     def test_one_call_equals_quantize_row_by_row(self, kv_bits, start):
         kv = RNG.standard_normal((2, 3, 5, 8))
-        kv[0, 1, 2] = 0.0  # a zero group keeps its zero scale
+        kv[0, 1, 2] = 0.0  # a zero group reads back zero
         positions = np.arange(start, start + 5)
-        codes, scales = kv_codes(kv, kv_bits, positions)
-        assert codes.shape == kv.shape and scales.shape == kv.shape[:-1] + (1,)
+        got = kv_fake_quant_values(kv, kv_bits, positions)
+        assert got.shape == kv.shape
+        assert not got[0, 1, 2].any()
         for t, position in enumerate(positions):
-            q = quantize(kv[..., t, :], QuantScheme.unsigned(kv_code_bits(position, kv_bits)))
-            np.testing.assert_array_equal(codes[..., t, :], q.codes)
-            np.testing.assert_array_equal(scales[..., t, 0], q.scales)
+            expected = fake_quant(kv[..., t, :], QuantScheme.unsigned(kv_code_bits(position, kv_bits)))
+            np.testing.assert_array_equal(got[..., t, :], expected)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_head_stays_non_finite(self, bad):
-        # kv_codes does not reject NaN or inf: the head-position group that
+        # the fake-quant does not reject NaN or inf: the head-position group that
         # holds one reads back non-finite, from the fake-quant and from the
         # cache, and every other group is as it would be without it. The
         # cache stores a NaN code as 0 without a cast warning.
@@ -273,7 +270,7 @@ class TestKvCodeBits:
         cache = KvCache(3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cache.extend(kv[0], kv[1])
+            cache.store(kv)
         assert not [w for w in caught if "in cast" in str(w.message)]
         for got in (kv_fake_quant_values(kv, 3, np.arange(3)), cache.read()):
             assert not np.isfinite(got[1, 2]).any()
@@ -318,11 +315,12 @@ class TestKvCache:
     def test_three_bit_cache_has_four_bit_bos(self):
         cache = KvCache(kv_bits=3)
         k = RNG.standard_normal((2, 4, 64))
-        cache.append(k, k)
-        cache.append(k, k)
-        assert cache.stored_code_bits(0) == 4
-        assert cache.stored_code_bits(1) == 3
-        levels = [[np.unique(head).size for head in cache.keys()[..., p, :].reshape(-1, 64)] for p in (0, 1)]
+        cache.store(np.stack((k, k))[..., None, :])
+        cache.store(np.stack((k, k))[..., None, :])
+        keys = cache.read()[0]
+        for p, bits in ((0, 4), (1, 3)):
+            np.testing.assert_array_equal(keys[..., p, :], fake_quant(k, QuantScheme.unsigned(bits)))
+        levels = [[np.unique(head).size for head in keys[..., p, :].reshape(-1, 64)] for p in (0, 1)]
         assert max(levels[0]) > 8 and max(levels[0]) <= 16
         assert max(levels[1]) <= 8
 
@@ -330,9 +328,9 @@ class TestKvCache:
         cache = KvCache(kv_bits=8)
         k = RNG.standard_normal((2, 4, 8))
         v = RNG.standard_normal((2, 4, 8))
-        cache.append(k, v)
-        np.testing.assert_array_equal(cache.keys()[..., 0, :], k)
-        np.testing.assert_array_equal(cache.values()[..., 0, :], v)
+        cache.store(np.stack((k, v))[..., None, :])
+        np.testing.assert_array_equal(cache.read()[0][..., 0, :], k)
+        np.testing.assert_array_equal(cache.read()[1][..., 0, :], v)
 
     def test_scales_per_head_per_position(self):
         # doubling one head at one position doubles exactly that read-back
@@ -342,67 +340,70 @@ class TestKvCache:
         caches = [KvCache(kv_bits=4), KvCache(kv_bits=4)]
         for cache, keys in zip(caches, (k, k2)):
             for pos in range(3):
-                cache.append(keys[..., pos, :], keys[..., pos, :])
+                cache.store(np.stack((keys, keys))[..., pos : pos + 1, :])
         assert len(caches[0]) == 3
-        a, b = caches[0].keys(), caches[1].keys()
+        a, b = caches[0].read()[0], caches[1].read()[0]
         np.testing.assert_array_equal(b[1, 2, 1], 2.0 * a[1, 2, 1])
         b[1, 2, 1] = a[1, 2, 1]
         np.testing.assert_array_equal(a, b)
 
     def test_cache_matches_full_sequence_transform(self):
-        # appending already fake-quantized heads re-quantizes them; unsigned
+        # storing already fake-quantized heads re-quantizes them; unsigned
         # idempotence makes the stored dequantized cache equal the in-call K
         for kv_bits in (3, 4):
             k = RNG.standard_normal((2, 4, 6, 8))
             fq = kv_fake_quant_values(k, kv_bits, np.arange(6))
             cache = KvCache(kv_bits=kv_bits)
             for pos in range(6):
-                cache.append(fq[..., pos, :], fq[..., pos, :])
-            np.testing.assert_array_equal(cache.keys(), fq)
+                cache.store(np.stack((fq, fq))[..., pos : pos + 1, :])
+            np.testing.assert_array_equal(cache.read()[0], fq)
 
     def test_empty_cache_read_rejected(self):
         with pytest.raises(ValueError):
-            KvCache().keys()
+            KvCache().read()
 
     @pytest.mark.parametrize("kv_bits", [3, 4, 8])
-    def test_extend_equals_appends(self, kv_bits):
-        k = RNG.standard_normal((2, 4, 11, 8))
-        v = RNG.standard_normal((2, 4, 11, 8))
-        appended, extended = KvCache(kv_bits), KvCache(kv_bits)
+    def test_chunked_stores_equal_one_position_stores(self, kv_bits):
+        kv = RNG.standard_normal((2, 2, 4, 11, 8))
+        one_by_one, chunked = KvCache(kv_bits), KvCache(kv_bits)
         for pos in range(11):
-            appended.append(k[..., pos, :], v[..., pos, :])
+            one_by_one.store(kv[..., pos : pos + 1, :])
         for lo, hi in ((0, 1), (1, 4), (4, 5), (5, 11)):
-            extended.extend(k[..., lo:hi, :], v[..., lo:hi, :])
-        assert len(extended) == 11
-        np.testing.assert_array_equal(extended.keys(), appended.keys())
-        np.testing.assert_array_equal(extended.values(), appended.values())
-        assert [extended.stored_code_bits(p) for p in range(11)] == [kv_code_bits(p, kv_bits) for p in range(11)]
+            chunked.store(kv[..., lo:hi, :])
+        assert len(chunked) == 11
+        np.testing.assert_array_equal(chunked.read(), one_by_one.read())
+        # each position is stored at its rule bits (8: raw)
+        for p in range(11):
+            want = kv[..., p, :]
+            if kv_bits != 8:
+                want = fake_quant(want, QuantScheme.unsigned(kv_code_bits(p, kv_bits)))
+            np.testing.assert_array_equal(chunked.read()[..., p, :], want)
 
     def test_raw_read_is_a_read_only_snapshot(self):
         cache = KvCache(kv_bits=8)
-        cache.extend(RNG.standard_normal((1, 2, 3, 4)), RNG.standard_normal((1, 2, 3, 4)))
-        keys = cache.keys()
+        cache.store(RNG.standard_normal((2, 1, 2, 3, 4)))
+        keys = cache.read()[0]
         with pytest.raises(ValueError):
             keys[0, 0, 0, 0] = 1.0
         before = keys.copy()
-        cache.extend(RNG.standard_normal((1, 2, 5, 4)), RNG.standard_normal((1, 2, 5, 4)))
+        cache.store(RNG.standard_normal((2, 1, 2, 5, 4)))
         np.testing.assert_array_equal(keys, before)
-        np.testing.assert_array_equal(cache.keys()[..., :3, :], before)
+        np.testing.assert_array_equal(cache.read()[0][..., :3, :], before)
 
     @pytest.mark.parametrize("kv_bits", [3, 4])
-    def test_store_in_the_fake_quant_equals_extend(self, kv_bits):
+    def test_store_in_the_fake_quant_equals_store_then_read(self, kv_bits):
         # kv_fake_quant_values(..., cache) quantizes the new K/V once, into
-        # the cache, and returns every stored position: bit-equal to extend
+        # the cache, and returns every stored position: bit-equal to store
         # then read, and to the fake-quant of the whole prefix, chunk by
         # chunk across a buffer growth
         total = 2 * KvCache.MIN_CAPACITY + 5
         kv = RNG.standard_normal((2, 1, 2, total, 8))
-        extended, stored = KvCache(kv_bits), KvCache(kv_bits)
+        direct, stored = KvCache(kv_bits), KvCache(kv_bits)
         bounds = [0, 1, 4, KvCache.MIN_CAPACITY - 1, KvCache.MIN_CAPACITY + 2, total]
         for lo, hi in zip(bounds, bounds[1:]):
-            extended.extend(kv[0, ..., lo:hi, :], kv[1, ..., lo:hi, :])
+            direct.store(kv[..., lo:hi, :])
             got = kv_fake_quant_values(kv[..., lo:hi, :], kv_bits, range(lo, hi), stored)
-            np.testing.assert_array_equal(got, extended.read())
+            np.testing.assert_array_equal(got, direct.read())
             np.testing.assert_array_equal(got, kv_fake_quant_values(kv[..., :hi, :], kv_bits, np.arange(hi)))
         assert len(stored) == total
 
@@ -450,7 +451,7 @@ class TestKvCache:
         bounds = [0, 3, 4, KvCache.MIN_CAPACITY - 1, KvCache.MIN_CAPACITY + 6, 3 * KvCache.MIN_CAPACITY, total]
         snapshots = []
         for lo, hi in zip(bounds, bounds[1:]):
-            cache.extend(k[..., lo:hi, :], v[..., lo:hi, :])
+            cache.store(np.stack((k, v))[..., lo:hi, :])
             read = cache.read()
             want = np.stack((k, v))[..., :hi, :]
             if kv_bits != 8:
@@ -464,13 +465,12 @@ class TestKvCache:
 
     def test_mismatched_heads_rejected(self):
         cache = KvCache(kv_bits=3)
-        cache.append(RNG.standard_normal((2, 8)), RNG.standard_normal((2, 8)))
+        cache.store(RNG.standard_normal((2, 2, 1, 8)))
         with pytest.raises(ValueError, match="do not match the cached"):
-            cache.append(RNG.standard_normal((3, 8)), RNG.standard_normal((3, 8)))
-        with pytest.raises(ValueError, match="K and V head shapes differ"):
-            cache.append(RNG.standard_normal((2, 8)), RNG.standard_normal((2, 4)))
-        with pytest.raises(IndexError):
-            cache.stored_code_bits(1)
+            cache.store(RNG.standard_normal((2, 3, 1, 8)))
+        with pytest.raises(ValueError, match="do not match the cached"):
+            cache.store(RNG.standard_normal((2, 2, 1, 4)))
+        assert len(cache) == 1
 
 
 def base_attention_setup(seed=0, hidden=16, scheme=None):
@@ -543,7 +543,7 @@ class TestAttention:
         with ad.no_grad():
             attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=4, cache=cache)
         assert len(cache) == 4
-        assert cache.keys().shape == (1, 2, 4, 8)
+        assert cache.read()[0].shape == (1, 2, 4, 8)
 
     @pytest.mark.parametrize("q_bits", [4, 16])
     @pytest.mark.parametrize("kv_bits", [3, 4, 8])

@@ -4,6 +4,7 @@ with f32 value storage and byte-reproducible output."""
 import dataclasses
 import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ class TestDenseTensor:
         path = tmp_path / "t.ba48"
         save_tensor(path, arr)
         np.testing.assert_array_equal(load_tensor(path), arr)
+
+    # (shape written, dims rewritten at bytes 5 on): a vector's dim whose top
+    # byte is 0x7f gave read() a count it raised OverflowError on; two dims
+    # whose product passes 2^64 wrapped in int64 to a small count
+    CORRUPT_DIMS = [((16,), struct.pack("<Q", 0x7F << 56 | 16)), ((4, 4), struct.pack("<QQ", 2**62 + 1, 8))]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape,dims", CORRUPT_DIMS, ids=["top-byte", "product-past-2^64"])
+    def test_dims_past_the_stream_are_a_format_error(self, shape, dims):
+        # the element count is counted in Python ints and bounded by the
+        # bytes left before anything is read for it
+        buf = io.BytesIO()
+        write_tensor(buf, np.ones(shape))
+        block = bytearray(buf.getvalue())
+        block[5 : 5 + len(dims)] = dims
+        with pytest.raises(FormatError, match="truncated"):
+            read_tensor(io.BytesIO(bytes(block)))
 
 
 class TestQuantizedTensor:
@@ -185,6 +203,50 @@ class TestQuantizedTensor:
         with pytest.raises(FormatError, match="do not fit"):
             read_quantized(io.BytesIO(buf.getvalue()))
 
+    @pytest.mark.parametrize("name,code,legal", [*CODE_EDGES, ("int8", 200, False), ("int8", -129, False),
+                                                 ("int8", 0.5, False), ("unsigned4", -1, False),
+                                                 ("fp4", np.nan, False)],
+                             ids=[f"{n}{c:+g}" for n, c, _ in CODE_EDGES] + ["int8+200", "int8-129", "int8+0.5",
+                                                                            "unsigned4-1", "fp4nan"])
+    def test_writer_refuses_codes_the_reader_refuses(self, name, code, legal):
+        # a code outside the scheme's range, or not an integer, is refused
+        # before any byte is written, not narrowed into another code (int8
+        # 200 read back as the legal -56)
+        q = quantize(np.random.default_rng(3).standard_normal((2, 4)), SCHEMES[name])
+        q.codes[-1, -1] = code
+        buf = io.BytesIO()
+        if not legal:
+            with pytest.raises(FormatError, match="code range"):
+                write_quantized(buf, q)
+            assert buf.getvalue() == b""
+            return
+        write_quantized(buf, q)
+        buf.seek(0)
+        np.testing.assert_array_equal(read_quantized(buf).codes, q.codes)
+
+    # a rank-2 block's bytes: magic 0-3, rank 4, dims 5-20, scheme tag 21,
+    # bits 22, multiplier 23, granularity 24, scale rank 25, scale dim 26-33
+    HEADER_EDITS = [
+        ("int4", 23, 0, "names no scheme.*multiplier"),
+        ("unsigned4", 22, 5, "names no scheme.*3 or 4 bits"),
+        ("int8", 21, 1, "names no scheme.*per tensor"),  # a per-token block tagged ternary
+        ("int4", 33, 0x7F, "truncated"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,offset,byte,match", HEADER_EDITS,
+                             ids=["int4-multiplier-0", "unsigned-5-bits", "ternary-per-token", "scale-dim"])
+    def test_header_the_format_cannot_hold_is_a_format_error(self, name, offset, byte, match):
+        # a scheme the descriptor cannot form is a FormatError, not
+        # QuantScheme's ValueError; a length past the stream is refused
+        # before it is read
+        buf = io.BytesIO()
+        write_quantized(buf, quantize(np.random.default_rng(4).standard_normal((2, 4)), SCHEMES[name]))
+        block = bytearray(buf.getvalue())
+        block[offset] = byte
+        with pytest.raises(FormatError, match=match):
+            read_quantized(io.BytesIO(bytes(block)))
+
     def test_file_helpers(self, tmp_path):
         q = quantize(np.random.default_rng(2).standard_normal((3, 8)), QuantScheme.int4())
         path = tmp_path / "q.ba48"
@@ -257,6 +319,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="parameter blocks.1.up is not finite in f32"):
             save_checkpoint(path, model)
         assert not path.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset", [13, 16], ids=["byte-13", "top-byte"])
+    def test_header_length_past_the_file_is_a_format_error(self, tmp_path, offset):
+        # the u64 header length at bytes 9-16 set past the file's size is
+        # refused before the header is read, not allocated (byte 13 gave a
+        # MemoryError) or handed to read() (byte 16, an OverflowError)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model(n_layers=1))
+        data = bytearray(path.read_bytes())
+        data[offset] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
 
     def test_largest_f32_value_accepted(self, tmp_path):
         model = tiny_model()
