@@ -1,11 +1,15 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A ``Var`` wraps a float64 array and remembers how it was produced; calling
-``backward`` on a scalar loss walks the recorded graph in reverse
-topological order and accumulates gradients into every upstream leaf
-``Var``. The walk consumes the graph: each node drops its adjoint, parents
-and gradient once its adjoint has run, so the tape is freed as it goes and
-a graph can be walked once.
+A ``Var`` wraps a float64 array. An op run under grad gives its output Var
+a tape node, which holds the op's adjoint, the nodes of its inputs and a
+gradient slot; a leaf Var (one no op produced, the parameters among them)
+is its own node. The tape links nodes, not Vars, so an intermediate array
+is freed when the forward drops its Var, unless an adjoint captured it, and
+every adjoint captures only the arrays it reads. Calling ``backward`` on a
+scalar loss walks the nodes in reverse topological order and accumulates
+gradients into every upstream leaf. The walk consumes the tape: each node
+drops its adjoint, parents and gradient once its adjoint has run, so the
+tape is freed as it goes and can be walked once.
 Quantizers and the top-K mask are non-differentiable, so the ops that apply
 them (``bitlinear`` here, the attention core in ``layers``) register
 straight-through adjoints: the gradient passes each quantizer unchanged, and
@@ -67,24 +71,40 @@ class MissingTraceError(RuntimeError):
 _CONSUMED = object()
 
 
-class Var:
-    """Node in the reverse-mode tape.
+class _Node:
+    """One entry of the tape: the gradient slot, the adjoint that maps it to
+    the parents' gradients, and the parent nodes."""
 
-    A Var with parents records the adjoint that maps its gradient to theirs.
-    ``backward`` consumes that record: afterwards only leaves (Vars with no
-    parents, the parameters among them) hold a ``.grad``, and every Var
-    keeps its ``.value``.
+    __slots__ = ("grad", "_backward", "_parents", "__weakref__")
+
+    def __init__(self, backward=None, parents: tuple[_Node, ...] = ()):
+        self.grad: np.ndarray | None = None
+        self._backward = backward
+        self._parents = parents
+
+
+class Var(_Node):
+    """A value, and the tape node of the op that produced it.
+
+    An op run under grad gives its output a ``_node`` of its own, which
+    links to the nodes of its inputs and never to a Var, so the value goes
+    when the Var goes unless an adjoint captured it. A leaf (a Var no op
+    produced, the parameters among them) has no ``_node``: it is its own
+    node, and keeps the ``.grad`` that ``backward`` accumulates into it.
+    (A leaf that referred to itself would be a cycle, freed only by the
+    cyclic garbage collector, with its value.)
     """
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "_traced", "_codes", "__weakref__")
+    __slots__ = ("value", "_node", "_traced", "_codes")
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self._codes = None  # weight-code cache, see weight_codes
-        self._parents: tuple[Var, ...] = tuple(parents) if _GRAD_ENABLED else ()
-        self._backward = backward if _GRAD_ENABLED else None
         self._traced = _GRAD_ENABLED
+        super().__init__()
+        self._node = None
+        if _GRAD_ENABLED and backward is not None:
+            self._node = _Node(backward, tuple(p._node or p for p in parents))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,11 +116,11 @@ class Var:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every upstream leaf.
 
-        The walk consumes the graph: once a node's adjoint has run, the node
-        drops its adjoint, its parents and its gradient, so each intermediate
-        array is freed as soon as no later adjoint reads it. Leaves keep
-        their gradients. A second backward() through a consumed node raises
-        ``MissingTraceError`` before any gradient moves.
+        The walk consumes the tape: once a node's adjoint has run, the node
+        drops its adjoint, its parents and its gradient, so each array an
+        adjoint captured is freed as soon as no later adjoint reads it.
+        Leaves keep their gradients. A second backward() through a consumed
+        node raises ``MissingTraceError`` before any gradient moves.
         """
         if self.value.ndim != 0:
             raise ValueError("backward() requires a scalar loss")
@@ -108,9 +128,10 @@ class Var:
             raise MissingTraceError(
                 "no forward trace was recorded (the loss was computed under no_grad)"
             )
-        order: list[Var] = []
+        root = self._node or self
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Var, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -125,7 +146,7 @@ class Var:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.value)
+        root.grad = np.ones_like(self.value)
         while order:
             # popping drops the list's reference to the node
             node = order.pop()
@@ -191,19 +212,64 @@ def embedding(table: Var, tokens: np.ndarray) -> Var:
     return Var(table.value[tokens], (table,), backward)
 
 
-def relu2(a: Var) -> Var:
-    """ReLU squared; adjoint is 2*ReLU(x)."""
-    a = as_var(a)
-    av = a.value
-    r = np.maximum(av, 0.0)
-    return Var(r * r, (a,), lambda g: (g * 2.0 * np.maximum(av, 0.0),))
+# the gating functions ``glu`` admits
+GLU_ACTIVATIONS = ("relu2", "silu")
 
 
-def silu(a: Var) -> Var:
-    a = as_var(a)
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    out = a.value * s
-    return Var(out, (a,), lambda g: (g * (s + out * (1.0 - s)),))
+def gated_activation(gv: np.ndarray, activation: str) -> np.ndarray:
+    """ReLU²(gv), or SiLU(gv) = gv * sigmoid(gv): the gate ``glu`` applies."""
+    if activation == "relu2":
+        act = np.maximum(gv, 0.0)
+        act *= act
+        return act
+    return gv * _sigmoid(gv)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-x)) in one buffer
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
+def glu(up: Var, gate: Var, activation: str) -> Var:
+    """up * act(gate), with act ReLU² or SiLU (``gated_activation``), as one op.
+
+    The adjoint holds up and gate, not the activation or the product: it
+    recomputes the activation and its derivative (2 ReLU(x), or
+    s + act(x) (1 - s) with s the sigmoid) with the forward's numpy ops.
+    """
+    up, gate = as_var(up), as_var(gate)
+    uv, gv = up.value, gate.value
+    if uv.shape != gv.shape:
+        raise ValueError(f"glu shape mismatch: {uv.shape} vs {gv.shape}")
+    if activation not in GLU_ACTIVATIONS:
+        raise ValueError(f"activation must be one of {GLU_ACTIVATIONS}, got {activation!r}")
+
+    def backward(g):
+        # d up = g act(gate) and d gate = (g up) act'(gate), each built in one
+        # buffer, with the products in the order an activation op followed by
+        # a mul forms them
+        dgate = g * uv
+        if activation == "relu2":
+            act = np.maximum(gv, 0.0)
+            dgate *= 2.0
+            dgate *= act  # act' = 2 ReLU
+            act *= act
+        else:
+            s = _sigmoid(gv)
+            act = gv * s
+            dact = 1.0 - s
+            dact *= act
+            dact += s  # act' = s + act (1 - s)
+            dgate *= dact
+        act *= g
+        return act, dgate
+
+    out = gated_activation(gv, activation)
+    out *= uv
+    return Var(out, (up, gate), backward)
 
 
 # added to the mean square under rmsnorm's square root
@@ -413,14 +479,16 @@ def bitlinear(
 
     qw = None if weight_scheme is None else weight_codes(w, weight_scheme)
     # the adjoint reads the input's quantized tensor and mask, not the
-    # masked code copy the forward multiplies
+    # masked code copy the forward multiplies, and x itself only when it
+    # is not quantized
     xq, mask = (None, None) if xin is None else (xin.quantized, xin.mask)
+    xkeep = xv if xin is None else None
 
     def fq_weights():
         return wv if qw is None else dequantize(qw)
 
     def fq_input():
-        return xv if xq is None else _masked_values(xq, mask)
+        return xkeep if xq is None else _masked_values(xq, mask)
 
     if xin is not None and qw is not None:
         y = code_matmul(xin.codes, qw.codes)
@@ -442,7 +510,8 @@ def bitlinear(
 
 def vsum(a: Var) -> Var:
     a = as_var(a)
-    return Var(np.sum(a.value), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
+    shape = a.value.shape
+    return Var(np.sum(a.value), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
@@ -458,10 +527,11 @@ def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
     flat_idx = targets.reshape(-1)
     picked = logp.reshape(-1, lv.shape[-1])[np.arange(flat_idx.size), flat_idx]
     loss = -np.mean(picked)
+    shape = lv.shape
 
     def backward(g):
-        p = np.exp(logp).reshape(-1, lv.shape[-1])  # a fresh array
+        p = np.exp(logp).reshape(-1, shape[-1])  # a fresh array
         p[np.arange(flat_idx.size), flat_idx] -= 1.0
-        return ((g / flat_idx.size) * p.reshape(lv.shape),)
+        return ((g / flat_idx.size) * p.reshape(shape),)
 
     return Var(loss, (logits,), backward)

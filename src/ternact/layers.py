@@ -132,8 +132,9 @@ def relu2glu(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer, activation
     """(x @ W_up^T) gated by ReLU^2(x @ W_gate^T), both bitlinear projections.
 
     When both take the same input scheme and k, x is quantized once and both
-    projections read those codes. ``activation`` admits "silu" for the
-    gating-function ablation.
+    projections read those codes. The gated product is one tape op,
+    ``ad.glu``. ``activation`` admits "silu" for the gating-function
+    ablation.
     """
     x = ad.as_var(x)
     xin = None
@@ -143,10 +144,9 @@ def relu2glu(x, up_layer: BitLinearLayer, gate_layer: BitLinearLayer, activation
         xin = ad.input_codes(x.value, scheme, up_layer.k_fraction)
     up = bitlinear_forward(up_layer, x, xin)
     gate = bitlinear_forward(gate_layer, x, xin)
-    act = ad.relu2(gate) if activation == "relu2" else ad.silu(gate)
     if _PROBE is not None:
-        _PROBE.record_activation(act.value)
-    return ad.mul(up, act)
+        _PROBE.record_activation(ad.gated_activation(gate.value, activation))
+    return ad.glu(up, gate, activation)
 
 
 def relu2glu_gate_first(x: np.ndarray, up_layer: BitLinearLayer, gate_layer: BitLinearLayer) -> np.ndarray:
@@ -162,8 +162,7 @@ def relu2glu_gate_first(x: np.ndarray, up_layer: BitLinearLayer, gate_layer: Bit
     with ad.no_grad():
         gate = bitlinear_forward(gate_layer, x).value
         qw = ad.weight_codes(up_layer.latent_weights, up_layer.weight_scheme)
-    r = np.maximum(gate, 0.0)
-    act = r * r  # same multiply the dense activation op performs
+    act = ad.gated_activation(gate, "relu2")  # the activation the dense op applies
     lead = x.shape[:-1]
     flat_x = x.reshape(-1, x.shape[-1])
     flat_act = act.reshape(-1, act.shape[-1])
@@ -372,13 +371,15 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
 
     heads = qkv.value.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
     qk = ad.rope(heads[:2], positions)
-    q, k, v = qk[0], qk[1], heads[2]
+    q, k = qk[0], qk[1]
     if q_bits == 4:
         q = fake_quant(q, _Q4)
     if kv_bits != 8 or cache is not None:
-        # at kv8 without a cache K and V stay views, which the adjoint holds
-        # without a copy
         k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, positions, cache)
+    else:
+        # a copy of V: the adjoint holds it, and a view would pin the whole
+        # (b, t, 3h) qkv output
+        v = heads[2].copy()
 
     scores = (q @ k.swapaxes(-1, -2)) * scale
     if t > 1:  # one query's mask is all zeros
@@ -388,17 +389,22 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
 
     def backward(g):
         go = g.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
-        dp = go @ v.swapaxes(-1, -2)
         dv = p.swapaxes(-1, -2) @ go
-        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
-        ds = ds * scale
-        dq = ds @ k
-        dk = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        # ds = p * (dp - sum(dp * p)) * scale, dp = go @ v^T, in dp's buffer
+        ds = go @ v.swapaxes(-1, -2)
+        ds -= np.sum(ds * p, axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dqk = np.empty((2, *dv.shape))
+        np.matmul(ds, k, out=dqk[0])
+        dqk[1] = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        del ds
+        dqk = ad.rope_adjoint(dqk, positions)
         # adding into zeros maps -0.0 to 0.0, the bits a sum of zero-padded
         # q, k and v gradients would have
         dqkv = np.zeros((b, t, 3, n_heads, hd))
         dheads = dqkv.transpose(2, 0, 3, 1, 4)
-        dheads[:2] += ad.rope_adjoint(np.stack((dq, dk)), positions)
+        dheads[:2] += dqk
         dheads[2] += dv
         return (dqkv.reshape(b, t, h3),)
 

@@ -68,7 +68,7 @@ class ModelConfig:
         if self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be even for the rotary embedding, got {self.head_dim}")
         check_bit_widths(self.kv_bits, self.q_bits)
-        if self.activation not in ("relu2", "silu"):
+        if self.activation not in ad.GLU_ACTIVATIONS:
             raise ValueError("activation must be 'relu2' or 'silu'")
         self.stage = Stage(self.stage)
         if not isinstance(self.site_bindings or {}, dict):

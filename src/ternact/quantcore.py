@@ -308,12 +308,15 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
     Division-before-scale ordering is deliberate: the extreme code divides to
     exactly 1.0, so requantizing a dequantized tensor recovers the same group
-    scale bit-exactly.
+    scale bit-exactly. Ternary's divisor is 1, so its points are scaled
+    as they are.
     """
     s = _expand(np.asarray(q.scales, dtype=np.float64), q.scheme.granularity)
     if q.scheme.kind is SchemeKind.UNSIGNED_ABSMAX:
         return unsigned_values(np.asarray(q.codes, dtype=np.float64), s, float(2**q.scheme.bits - 1))
     points, divisor = lattice_codes(q)
+    if divisor == 1.0:
+        return np.multiply(points, s, dtype=np.float64)
     # one fresh float64 array (the widening is exact), scaled in place
     out = np.divide(points, divisor, dtype=np.float64)
     out *= s

@@ -6,10 +6,11 @@ reuse the header with the top bit of the rank byte set, followed by a scheme
 descriptor, the f32 scale array (with its own rank/dims), and one code byte
 per entry (i8, or u8 for the unsigned family; sub-byte packing is out of
 scope); reading widens them back to the float32 codes ``quantize`` returns,
-and refuses a code outside its scheme's ``quantcore.code_range`` or scales
-of a shape the granularity does not give; writing refuses such a code
-first. Every length and dimension field is bounded by the bytes left in the
-(seekable) stream before it is read.
+and refuses a code outside its scheme's ``quantcore.code_range``, a NaN or
+infinite scale, or scales of a shape the granularity does not give; writing
+refuses such a code first. Every length and dimension field is bounded by
+the bytes left in the (seekable) stream before it is read, and a shape numpy
+cannot form is refused.
 Checkpoints are a ``BA48CKPT1`` magic, a length-prefixed JSON header carrying
 the model configuration and parameter order, and one dense block per
 parameter in that order. Values are stored as f32, so loading widens
@@ -80,6 +81,15 @@ def _read_dims(f: BinaryIO, rank: int) -> tuple[tuple[int, ...], int]:
     return shape, math.prod(shape)
 
 
+def _reshaped(data: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # the element count already matches, so only a shape numpy cannot form
+    # (a dim past its index range beside a zero dim) fails here
+    try:
+        return data.reshape(shape)
+    except ValueError as e:
+        raise FormatError(f"shape {shape} cannot be formed: {e}") from e
+
+
 def write_tensor(f: BinaryIO, arr: np.ndarray) -> None:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim > 127:
@@ -99,7 +109,7 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
         raise FormatError("quantized block where a dense tensor was expected")
     shape, count = _read_dims(f, rank)
     data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4")
-    return data.astype(np.float64).reshape(shape)
+    return _reshaped(data.astype(np.float64), shape)
 
 
 def write_quantized(f: BinaryIO, q: QuantizedTensor) -> None:
@@ -154,11 +164,11 @@ def read_quantized(f: BinaryIO) -> QuantizedTensor:
         raise FormatError(f"scheme descriptor names no scheme: {e}") from e
     scale_rank = struct.unpack("<B", _read_exact(f, 1))[0]
     scale_shape, scale_count = _read_dims(f, scale_rank)
-    scales = (
-        np.frombuffer(_read_exact(f, 4 * scale_count), dtype="<f4")
-        .astype(np.float64)
-        .reshape(scale_shape)
-    )
+    scales = np.frombuffer(_read_exact(f, 4 * scale_count), dtype="<f4")
+    # checked in f32: widening a signalling NaN warns
+    if not np.isfinite(scales).all():
+        raise FormatError("a scale is not finite")
+    scales = _reshaped(scales.astype(np.float64), scale_shape)
     if scale_shape != (shape[:-1] if per_token else ()) or (per_token and not shape):
         raise FormatError(f"scales of shape {scale_shape} do not fit {granularity.value} codes {shape}")
     codes = np.frombuffer(_read_exact(f, count), dtype=_code_dtype(scheme)).astype(np.float32)
@@ -166,7 +176,7 @@ def read_quantized(f: BinaryIO) -> QuantizedTensor:
     bad = codes[(codes < lo) | (codes > hi)]
     if bad.size:
         raise FormatError(f"code {bad[0]:g} outside the {kind.value} code range [{lo:g}, {hi:g}]")
-    return QuantizedTensor(codes.reshape(shape), scales, scheme)
+    return QuantizedTensor(_reshaped(codes, shape), scales, scheme)
 
 
 def save_tensor(path, arr: np.ndarray) -> None:

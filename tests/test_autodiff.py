@@ -2,6 +2,8 @@
 differences, straight-through adjoints against their bit-equality contract.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -57,21 +59,73 @@ class TestElementwiseOps:
         y = ad.Var(RNG.standard_normal((2, 5)))
         assert_matches_fd(lambda v: weighted(ad.mul(v, y), np.random.default_rng(1)), x)
 
-    def test_relu2(self):
-        # keep pre-activations away from the kink at zero
-        x = np.array([-2.0, -0.5, 0.5, 1.3, 2.0])
-        assert_matches_fd(lambda v: weighted(ad.relu2(v), np.random.default_rng(4)), x)
+
+def removed_relu2(a):
+    """The ReLU² op ``ad.glu`` replaced, kept as the reference: adjoint
+    2 ReLU(x)."""
+    av = a.value
+    r = np.maximum(av, 0.0)
+    return ad.Var(r * r, (a,), lambda g: (g * 2.0 * np.maximum(av, 0.0),))
+
+
+def removed_silu(a):
+    """The SiLU op ``ad.glu`` replaced, kept as the reference."""
+    s = 1.0 / (1.0 + np.exp(-a.value))
+    out = a.value * s
+    return ad.Var(out, (a,), lambda g: (g * (s + out * (1.0 - s)),))
+
+
+REMOVED_ACTIVATIONS = {"relu2": removed_relu2, "silu": removed_silu}
+
+
+class TestGlu:
+    # keep the ReLU² pre-activations away from the kink at zero
+    GATE = np.array([[-2.0, -0.5, 0.5, 1.3], [2.0, -1.1, 0.7, -0.2]])
+    UP = np.array([[0.3, -1.2, 0.8, 2.1], [-0.6, 1.5, -0.9, 0.4]])
+
+    @pytest.mark.parametrize("activation", ad.GLU_ACTIVATIONS)
+    def test_gate_grad_matches_fd(self, activation):
+        up = ad.Var(self.UP)
+        assert_matches_fd(lambda v: weighted(ad.glu(up, v, activation), np.random.default_rng(4)), self.GATE)
+
+    @pytest.mark.parametrize("activation", ad.GLU_ACTIVATIONS)
+    def test_up_grad_matches_fd(self, activation):
+        gate = ad.Var(self.GATE)
+        assert_matches_fd(lambda v: weighted(ad.glu(v, gate, activation), np.random.default_rng(5)), self.UP)
 
     def test_relu2_adjoint_value(self):
-        # d/dx ReLU^2 at x=2 is 2*ReLU(2) = 4
-        v = ad.Var(np.array(2.0).reshape(1))
-        out = ad.vsum(ad.relu2(v))
-        out.backward()
-        assert v.grad[0] == 4.0
+        # up * ReLU²(gate) at up=3, gate=2: d/dgate = 3 * 2 ReLU(2) = 12,
+        # d/dup = ReLU²(2) = 4
+        up, gate = ad.Var(np.array([3.0])), ad.Var(np.array([2.0]))
+        ad.vsum(ad.glu(up, gate, "relu2")).backward()
+        assert gate.grad[0] == 12.0 and up.grad[0] == 4.0
 
-    def test_silu(self):
-        x = RNG.standard_normal(8) * 2.0
-        assert_matches_fd(lambda v: weighted(ad.silu(v), np.random.default_rng(5)), x)
+    @pytest.mark.parametrize("activation", ad.GLU_ACTIVATIONS)
+    def test_bit_equal_to_the_activation_times_up_composition(self, activation):
+        rng = np.random.default_rng(6)
+        upv, gv = rng.standard_normal((2, 3, 5, 17)) * 3.0
+        gv[0, 0, :4] = [0.0, -0.0, 40.0, -40.0]
+        weights = rng.standard_normal(upv.shape)
+        runs = []
+        for build in (lambda u, g: ad.glu(u, g, activation),
+                      lambda u, g: ad.mul(u, REMOVED_ACTIVATIONS[activation](g))):
+            up, gate = ad.Var(upv), ad.Var(gv)
+            out = build(up, gate)
+            ad.vsum(ad.mul(out, ad.Var(weights))).backward()
+            runs.append((out.value, up.grad, gate.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gated_activation_is_the_forward_gate(self):
+        gv = np.array([-1.5, 0.0, 2.5])
+        np.testing.assert_array_equal(ad.gated_activation(gv, "relu2"), [0.0, 0.0, 6.25])
+        np.testing.assert_array_equal(ad.gated_activation(gv, "silu"), removed_silu(ad.Var(gv)).value)
+
+    def test_rejects_shape_mismatch_and_unknown_activation(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ad.glu(ad.Var(np.zeros(3)), ad.Var(np.zeros(4)), "relu2")
+        with pytest.raises(ValueError, match="activation"):
+            ad.glu(ad.Var(np.zeros(3)), ad.Var(np.zeros(3)), "gelu")
 
 
 class TestMatmulOps:
@@ -318,6 +372,26 @@ class TestTapeMechanics:
         with pytest.raises(ad.MissingTraceError, match="consumed"):
             second.backward()
         assert w.grad[0] == 4.0
+
+    def test_a_dropped_var_frees_its_value_without_the_cycle_collector(self):
+        # no Var or node refers back to itself, so reference counting alone
+        # frees a value: a leaf, and an op output with and without grad
+        import gc
+        import weakref
+
+        x = ad.Var(np.ones(4))
+        builds = [lambda: ad.Var(np.ones(4)), lambda: ad.add(x, x)]
+        gc.disable()
+        try:
+            for mode in (contextlib.nullcontext, ad.no_grad):
+                for build in builds:
+                    with mode():
+                        v = build()
+                    ref = weakref.ref(v.value)
+                    del v
+                    assert ref() is None, (mode, build)
+        finally:
+            gc.enable()
 
     def test_backward_requires_scalar(self):
         x = ad.Var(np.ones(3))

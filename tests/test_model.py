@@ -315,7 +315,7 @@ class TestProbe:
         # the reference FFN quantizes gate and up each on its own
         def separate(x, up_layer, gate_layer, activation="relu2"):
             up = layers_mod.bitlinear_forward(up_layer, x)
-            return ad.mul(up, ad.relu2(layers_mod.bitlinear_forward(gate_layer, x)))
+            return ad.glu(up, layers_mod.bitlinear_forward(gate_layer, x), activation)
 
         model = TransformerModel(tiny_config(stage=Stage.STAGE2, site_bindings=bindings), seed=0)
         params = list(model.named_parameters().values())

@@ -311,6 +311,16 @@ class TestDequantize:
         q = q._replace(scales=np.asarray(0.5))
         assert np.array_equal(dequantize(q), [0.5, -0.5, 0.0])
 
+    @pytest.mark.parametrize("scale", [0.7930224, 1.0, 3e-300, 1e300], ids=["typical", "one", "tiny", "huge"])
+    def test_ternary_is_codes_times_scale_bit_for_bit(self, scale):
+        # divisor 1 skips the exact division: the bits of codes * scale in f64
+        q = quantize(np.random.default_rng(8).standard_normal((344, 128)), QuantScheme.ternary())
+        q = q._replace(scales=np.asarray(scale))
+        got, want = dequantize(q), q.codes.astype(np.float64) * scale
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+
     def test_int8_full_scale(self):
         q = quantize([2.54], QuantScheme.int8())
         assert q.codes[0] == 127

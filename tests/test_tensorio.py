@@ -84,6 +84,17 @@ class TestDenseTensor:
         with pytest.raises(FormatError, match="truncated"):
             read_tensor(io.BytesIO(bytes(block)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_shape_numpy_cannot_form_is_a_format_error(self):
+        # a (0, 4) tensor holds no data bytes, so a second dim of 2^63 passes
+        # the length bound; numpy's reshape refuses the shape
+        buf = io.BytesIO()
+        write_tensor(buf, np.ones((0, 4)))
+        block = bytearray(buf.getvalue())
+        block[13:21] = struct.pack("<Q", 2**63)
+        with pytest.raises(FormatError, match="cannot be formed"):
+            read_tensor(io.BytesIO(bytes(block)))
+
 
 class TestQuantizedTensor:
     @pytest.mark.parametrize(
@@ -245,6 +256,40 @@ class TestQuantizedTensor:
         block = bytearray(buf.getvalue())
         block[offset] = byte
         with pytest.raises(FormatError, match=match):
+            read_quantized(io.BytesIO(bytes(block)))
+
+    # (byte offset in the first f32 scale, bytes written there): its top
+    # byte set to 0xff, and whole patterns of a signalling NaN, -inf and +inf
+    BAD_SCALES = [(3, b"\xff"), (0, struct.pack("<I", 0x7F800001)), (0, struct.pack("<f", -np.inf)),
+                  (0, struct.pack("<f", np.inf))]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset,patch", BAD_SCALES, ids=["top-byte-0xff", "snan", "-inf", "+inf"])
+    @pytest.mark.parametrize("name", ["int8", "int4", "unsigned4", "unsigned3"])
+    def test_non_finite_scale_is_a_format_error(self, name, offset, patch):
+        # a rank-2 per-token block's scales start at byte 34; the f32 -> f64
+        # widening of a signalling NaN would warn "invalid value" first. The
+        # input is scaled to a first scale of 1.5, in [1, 2), whose exponent
+        # is all ones once the top byte is 0xff
+        x = np.random.default_rng(5).standard_normal((2, 4))
+        x *= 1.5 / quantize(x, SCHEMES[name]).scales[0]
+        buf = io.BytesIO()
+        write_quantized(buf, quantize(x, SCHEMES[name]))
+        block = bytearray(buf.getvalue())
+        block[34 + offset : 34 + offset + len(patch)] = patch
+        assert not np.isfinite(np.frombuffer(bytes(block[34:38]), dtype="<f4")[0])
+        with pytest.raises(FormatError, match="not finite"):
+            read_quantized(io.BytesIO(bytes(block)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_shape_numpy_cannot_form_is_a_format_error(self):
+        # codes of shape (0, 4) and scales of shape (0,): no byte to bound a
+        # feature dim of 2^63 by
+        buf = io.BytesIO()
+        write_quantized(buf, QuantizedTensor(np.zeros((0, 4), np.float32), np.ones(0), QuantScheme.int8()))
+        block = bytearray(buf.getvalue())
+        block[13:21] = struct.pack("<Q", 2**63)
+        with pytest.raises(FormatError, match="cannot be formed"):
             read_quantized(io.BytesIO(bytes(block)))
 
     def test_file_helpers(self, tmp_path):

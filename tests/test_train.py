@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from ternact import autodiff as ad
+from ternact import layers as layers_mod
 from ternact import train
 from ternact.data import MarkovChain, MarkovDataConfig, batch_stream
+from ternact.layers import Site
 from ternact.model import ModelConfig, NonFiniteValueError, Stage, TransformerModel, model_forward
 from ternact.quantcore import QuantScheme, SchemeKind, fake_quant
 from ternact.sparsify import topk_mask
@@ -252,20 +254,57 @@ class TestTrainStep:
         assert state.step == 0
 
 
-def graph_nodes(loss: ad.Var) -> list[ad.Var]:
-    """Every Var reachable from ``loss`` through its recorded parents."""
-    nodes, stack = {}, [loss]
+def graph_nodes(loss: ad.Var) -> list:
+    """Every tape node reachable from ``loss``'s node through its parents."""
+    nodes, stack = {}, [loss._node]
     while stack:
-        v = stack.pop()
-        if id(v) not in nodes:
-            nodes[id(v)] = v
-            stack.extend(v._parents)
+        n = stack.pop()
+        if id(n) not in nodes:
+            nodes[id(n)] = n
+            stack.extend(n._parents)
     return list(nodes.values())
 
 
 class TestTapeRelease:
-    """backward() consumes the tape: intermediates die with the walk, and only
-    leaves keep gradients."""
+    """The tape links nodes, not Vars, so the forward frees every array no
+    adjoint reads; backward() consumes the tape: intermediate nodes die with
+    the walk, and only leaves keep gradients."""
+
+    @pytest.mark.parametrize("kv_bits", [3, 8])
+    @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
+    def test_forward_frees_what_no_adjoint_reads(self, monkeypatch, stage, kv_bits):
+        # every projection input is quantized, so its adjoint holds codes:
+        # each block's normed inputs, context and FFN product go as soon as
+        # the next op has run, and so do the qkv, attn_out and down outputs
+        # (at kv8 the attention adjoint holds a copy of V, not the qkv output)
+        model = tiny_model(stage=stage, kv_bits=kv_bits)
+        refs = {}
+
+        def record(name, module, fn_name, keep=lambda *args: True):
+            fn = getattr(module, fn_name)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if keep(*args):
+                    refs.setdefault(name, []).append(weakref.ref(out.value))
+                return out
+            monkeypatch.setattr(module, fn_name, wrapped)
+
+        record("norm", ad, "rmsnorm", lambda x, gain: gain is not model.final_norm)
+        record("context", layers_mod, "attention_core")
+        record("ffn product", layers_mod, "relu2glu")
+        record("projection", layers_mod, "bitlinear_forward",
+               lambda layer, *_: layer.site in (Site.QKV, Site.ATTN_OUT, Site.DOWN))
+        inputs, targets = next(tiny_stream())
+        loss = ad.cross_entropy(model_forward(model, inputs), targets)
+        n_blocks = len(model.blocks)
+        assert {name: len(r) for name, r in refs.items()} == {
+            "norm": 2 * n_blocks, "context": n_blocks, "ffn product": n_blocks, "projection": 3 * n_blocks}
+        alive = {name: sum(r() is not None for r in rs) for name, rs in refs.items()}
+        assert alive == dict.fromkeys(refs, 0)
+        loss.backward()
+        for p in model.named_parameters().values():
+            assert p.grad is not None
 
     @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
     def test_backward_frees_every_intermediate(self, stage):
@@ -273,13 +312,14 @@ class TestTapeRelease:
         inputs, targets = next(tiny_stream())
         logits = model_forward(model, inputs)
         loss = ad.cross_entropy(logits, targets)
-        refs = [weakref.ref(v) for v in graph_nodes(loss) if v._parents and v is not logits and v is not loss]
+        held = (loss._node, logits._node)
+        refs = [weakref.ref(n) for n in graph_nodes(loss) if n._parents and n not in held]
         assert len(refs) > 20
         logits_value = logits.value.copy()
         loss.backward()
         assert sum(r() is not None for r in refs) == 0
-        for held in (loss, logits):
-            assert held.grad is None and held._parents == ()
+        for node in held:
+            assert node.grad is None and node._parents == ()
         np.testing.assert_array_equal(logits.value, logits_value)
         for p in model.named_parameters().values():
             assert p.grad is not None and p.grad.shape == p.value.shape
@@ -287,13 +327,15 @@ class TestTapeRelease:
     @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
     def test_backward_memory_is_bounded_by_the_gradients(self, stage):
         # tracemalloc sees every numpy allocation, so the figures are exact:
-        # about 1 MB is traced after the forward; a backward that kept the
-        # tape would peak near 2 MB and hold nearly all of it afterwards
+        # about 1 MB is traced after the forward at batch 8 (the tape keeps
+        # only what adjoints read, so batch 4 traces 0.6 MB, too little for
+        # the premise); a backward that kept the tape would peak near 2 MB
+        # and hold nearly all of it afterwards
         config = ModelConfig(hidden_size=32, glu_size=64, n_heads=2, n_layers=2, vocab_size=64,
                              seq_len=16, stage=stage)
         model = TransformerModel(config, seed=0)
         chain = MarkovChain(MarkovDataConfig(vocab_size=64, seed=1))
-        inputs, targets = next(batch_stream(chain, batch_size=4, seq_len=16, seed=2))
+        inputs, targets = next(batch_stream(chain, batch_size=8, seq_len=16, seed=2))
         grad_bytes = sum(p.value.nbytes for p in model.named_parameters().values())
         tracemalloc.start()
         try:
