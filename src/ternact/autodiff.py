@@ -5,11 +5,17 @@ a tape node, which holds the op's adjoint, the nodes of its inputs and a
 gradient slot; a leaf Var (one no op produced, the parameters among them)
 is its own node. The tape links nodes, not Vars, so an intermediate array
 is freed when the forward drops its Var, unless an adjoint captured it, and
-every adjoint captures only the arrays it reads. Calling ``backward`` on a
-scalar loss walks the nodes in reverse topological order and accumulates
-gradients into every upstream leaf. The walk consumes the tape: each node
-drops its adjoint, parents and gradient once its adjoint has run, so the
-tape is freed as it goes and can be walked once.
+every adjoint captures only what it reads, in the smallest exact form: a
+quantized operand as int8 codes, and the output of a code matmul as its
+integer sums (``CodeSums``, reached through ``Var.kept``), from which the
+adjoint rebuilds the float64 value with the forward's own ops (``rebuild``).
+A code matmul is exact in any order, so the rebuilt value, and every
+gradient, is the one a tape that kept the value gives, bit for bit.
+Calling ``backward`` on a scalar loss walks the nodes in reverse
+topological order and accumulates gradients into every upstream leaf. The
+walk consumes the tape: each node drops its adjoint, parents and gradient
+once its adjoint has run, so the tape is freed as it goes and can be walked
+once.
 Quantizers and the top-K mask are non-differentiable, so the ops that apply
 them (``bitlinear`` here, the attention core in ``layers``) register
 straight-through adjoints: the gradient passes each quantizer unchanged, and
@@ -36,8 +42,10 @@ from .quantcore import (
     QuantizedTensor,
     QuantScheme,
     SchemeKind,
+    count_operand,
     dequantize,
     lattice_codes,
+    operand,
     quantize,
 )
 from .sparsify import topk_mask
@@ -95,11 +103,12 @@ class Var(_Node):
     cyclic garbage collector, with its value.)
     """
 
-    __slots__ = ("value", "_node", "_traced", "_codes")
+    __slots__ = ("value", "_node", "_traced", "_codes", "_sums")
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self._codes = None  # weight-code cache, see weight_codes
+        self._sums = None  # the value as code sums, see kept
         self._traced = _GRAD_ENABLED
         super().__init__()
         self._node = None
@@ -112,6 +121,12 @@ class Var(_Node):
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    def kept(self):
+        """What an adjoint keeps to rebuild this value in backward: the
+        ``CodeSums`` of a code matmul run under grad, or else the value
+        itself. ``rebuild`` reads either to the same float64 bits."""
+        return self.value if self._sums is None else self._sums
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every upstream leaf.
@@ -236,8 +251,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def glu(up: Var, gate: Var, activation: str) -> Var:
     """up * act(gate), with act ReLU² or SiLU (``gated_activation``), as one op.
 
-    The adjoint holds up and gate, not the activation or the product: it
-    recomputes the activation and its derivative (2 ReLU(x), or
+    The adjoint holds up and gate, as their code sums when code matmuls
+    made them (``Var.kept``), not the activation or the product: it rebuilds
+    them and recomputes the activation and its derivative (2 ReLU(x), or
     s + act(x) (1 - s) with s the sigmoid) with the forward's numpy ops.
     """
     up, gate = as_var(up), as_var(gate)
@@ -247,19 +263,23 @@ def glu(up: Var, gate: Var, activation: str) -> Var:
     if activation not in GLU_ACTIVATIONS:
         raise ValueError(f"activation must be one of {GLU_ACTIVATIONS}, got {activation!r}")
 
+    # the adjoint keeps up's and gate's code sums where they have them
+    ukept, gkept = up.kept(), gate.kept()
+
     def backward(g):
-        # d up = g act(gate) and d gate = (g up) act'(gate), each built in one
-        # buffer, with the products in the order an activation op followed by
-        # a mul forms them
-        dgate = g * uv
+        # d up = g act(gate) and d gate = (g up) act'(gate), built in the
+        # rebuilt up's and gate's buffers, with the products in the order an
+        # activation op followed by a mul forms them
+        dgate, gv = rebuild(ukept), rebuild(gkept)
+        np.multiply(g, dgate, out=dgate)
         if activation == "relu2":
-            act = np.maximum(gv, 0.0)
+            act = np.maximum(gv, 0.0, out=gv)
             dgate *= 2.0
             dgate *= act  # act' = 2 ReLU
             act *= act
         else:
             s = _sigmoid(gv)
-            act = gv * s
+            act = np.multiply(gv, s, out=gv)
             dact = 1.0 - s
             dact *= act
             dact += s  # act' = s + act (1 - s)
@@ -274,23 +294,31 @@ def glu(up: Var, gate: Var, activation: str) -> Var:
 
 # added to the mean square under rmsnorm's square root
 RMSNORM_EPS = 1e-6
+_RMSNORM_EPS = operand(RMSNORM_EPS)
 
 
 def rmsnorm(x: Var, gain: Var) -> Var:
     """x / sqrt(mean(x^2) + RMSNORM_EPS) * gain over the last axis."""
     x, gain = as_var(x), as_var(gain)
     xv = x.value
-    n = xv.shape[-1]
+    n = count_operand(xv.shape[-1])
     # r has one entry per row: at a decode step's one row, a new array is
     # cheaper than an in-place update
-    r = np.sqrt(np.add.reduce(xv * xv, axis=-1, keepdims=True) / n + RMSNORM_EPS)
+    r = np.sqrt(np.add.reduce(xv * xv, axis=-1, keepdims=True) / n + _RMSNORM_EPS)
     gv = gain.value
 
     def backward(g):
+        # dx = gg / r - (xv * sum(gg * xv)) / (n r^3) with gg = g * gain, and
+        # dgain = sum(g * (xv / r)), in two buffers with the ops in order
         gg = g * gv
-        dx = gg / r - xv * np.add.reduce(gg * xv, axis=-1, keepdims=True) / (n * r**3)
-        dgain = np.add.reduce(g * (xv / r), axis=tuple(range(g.ndim - 1)))
-        return dx, dgain
+        t = gg * xv
+        np.multiply(xv, np.add.reduce(t, axis=-1, keepdims=True), out=t)
+        t /= n * r**3
+        dx = np.divide(gg, r, out=gg)
+        dx -= t
+        np.divide(xv, r, out=t)
+        t *= g
+        return dx, np.add.reduce(t, axis=tuple(range(g.ndim - 1)))
 
     return Var(xv / r * gv, (x, gain), backward)
 
@@ -372,12 +400,15 @@ INPUT_SCHEMES = {name: scheme for name, scheme in SCHEMES.items() if scheme.kind
 # Largest |lattice point| a bitlinear input can hold (int8's -128); a float32
 # sum of K such points times ternary codes stays exact while K * it <= 2^24.
 _INPUT_PEAK = max(LATTICES[kind].peak for kind in INPUT_KINDS)
+# The longest contraction whose code sums fit int16: K * _INPUT_PEAK <= 32767.
+_INT16_SUMS_K = np.iinfo(np.int16).max // int(_INPUT_PEAK)
 
 
 class InputCodes(NamedTuple):
     """A bitlinear input as integer-valued float32 ``codes`` (top-K masked),
-    the per-row ``row_factor`` that maps code products back to values, and the
-    keep-``mask`` (None when k is off)."""
+    the per-row ``row_factor`` that maps code products back to values, the
+    keep-``mask`` (None when k is off) and the ``quantized`` tensor, whose
+    codes are int8 under grad: what the adjoint keeps."""
 
     codes: np.ndarray
     row_factor: np.ndarray
@@ -392,6 +423,12 @@ class InputCodes(NamedTuple):
 def _masked_values(q: QuantizedTensor, mask: np.ndarray | None) -> np.ndarray:
     deq = dequantize(q)
     return deq if mask is None else deq * mask
+
+
+def _int8_codes(q: QuantizedTensor) -> QuantizedTensor:
+    # every signed code fits int8, and dequantize widens it to the float64 the
+    # float32 code gives
+    return q._replace(codes=q.codes.astype(np.int8))
 
 
 def input_codes(xv, scheme: QuantScheme, k_fraction: float | None = None) -> InputCodes:
@@ -411,7 +448,7 @@ def input_codes(xv, scheme: QuantScheme, k_fraction: float | None = None) -> Inp
     if k_fraction is not None:
         mask = topk_mask(xv, k_fraction).mask
         codes = codes * mask  # a new array: q.codes stay the unmasked codes
-    return InputCodes(codes, row_factor, mask, q)
+    return InputCodes(codes, row_factor, mask, _int8_codes(q) if _GRAD_ENABLED else q)
 
 
 def weight_codes(w: Var, scheme: QuantScheme) -> QuantizedTensor:
@@ -437,18 +474,49 @@ def weight_codes(w: Var, scheme: QuantScheme) -> QuantizedTensor:
 
 
 def code_matmul(codes: np.ndarray, wcodes: np.ndarray) -> np.ndarray:
-    """codes @ wcodes.T over float32 integer codes, returned as float64.
+    """codes @ wcodes.T over float32 integer codes: the integer sums, as
+    float32.
 
     Every product and partial sum is an integer of magnitude at most
     128 * K <= 2^24 (128: the largest input lattice point), so float32 holds
-    each exactly and the result equals the float64 product bit for bit,
-    whatever the summation order.
+    each exactly and the result is the exact sum, whatever the summation
+    order.
     """
     k = codes.shape[-1]
     if k * _INPUT_PEAK > 2**24:
         raise ValueError(f"a code matmul over K={k} would not be exact in float32")
     flat = codes.reshape(-1, k) @ wcodes.T
-    return flat.astype(np.float64).reshape(*codes.shape[:-1], wcodes.shape[0])
+    return flat.reshape(*codes.shape[:-1], wcodes.shape[0])
+
+
+def _scaled_sums(sums: np.ndarray, row_factor: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    # sums * row_factor * scale in one fresh float64 array, widened (exactly)
+    # first: on a batch-16 output, two same-dtype multiplies run faster than
+    # one multiply that casts its operand
+    y = sums.astype(np.float64)
+    y *= row_factor
+    y *= scale
+    return y
+
+
+class CodeSums(NamedTuple):
+    """A code matmul's output as the tape keeps it: the exact integer
+    ``sums`` (int16 while K * 128 fits it, else float32), the input's
+    ``row_factor`` and the weight's 0-d ``scale``. ``values`` rebuilds the
+    output with the forward's own ops, so bit for bit."""
+
+    sums: np.ndarray
+    row_factor: np.ndarray
+    scale: np.ndarray
+
+    def values(self) -> np.ndarray:
+        return _scaled_sums(self.sums, self.row_factor, self.scale)
+
+
+def rebuild(kept) -> np.ndarray:
+    """The value that ``Var.kept`` returned ``kept`` for, in a fresh array
+    the adjoint may write."""
+    return kept.values() if type(kept) is CodeSums else kept.copy()
 
 
 def bitlinear(
@@ -464,11 +532,13 @@ def bitlinear(
     over integer codes and rescaled afterwards, which makes the result
     independent of summation order (every partial sum is an exact small
     integer), so a column-subset evaluation is bit-identical to the dense one.
+    Under grad, such an output also carries its ``CodeSums`` (``Var.kept``),
+    which an adjoint that reads the output keeps instead of the float64.
 
     STE: dx is the upstream gradient times the dequantized weight, gated by
     the top-K mask; dw is the upstream gradient times the dequantized, masked
-    input. Both operands are dequantized only when the adjoint or a non-code
-    product needs them.
+    input. The adjoint keeps both operands' codes as int8, and dequantizes
+    them only when it runs.
     """
     x, w = as_var(x), as_var(w)
     xv, wv = x.value, w.value
@@ -483,29 +553,35 @@ def bitlinear(
     # is not quantized
     xq, mask = (None, None) if xin is None else (xin.quantized, xin.mask)
     xkeep = xv if xin is None else None
+    wq = qw if qw is None or not _GRAD_ENABLED else _int8_codes(qw)
 
     def fq_weights():
-        return wv if qw is None else dequantize(qw)
+        return wv if wq is None else dequantize(wq)
 
     def fq_input():
         return xkeep if xq is None else _masked_values(xq, mask)
 
+    sums = None
     if xin is not None and qw is not None:
-        y = code_matmul(xin.codes, qw.codes)
-        y *= xin.row_factor
-        y *= qw.scales  # one 0-d scale
+        sums = code_matmul(xin.codes, qw.codes)
+        y = _scaled_sums(sums, xin.row_factor, qw.scales)
     else:
         y = fq_input() @ fq_weights().T
 
     def backward(g):
         dx = g @ fq_weights()
         if mask is not None:
-            dx = dx * mask
+            dx *= mask
         g2 = g.reshape(-1, wv.shape[0])
         dw = g2.T @ fq_input().reshape(-1, wv.shape[1])
         return dx, dw
 
-    return Var(y, (x, w), backward)
+    out = Var(y, (x, w), backward)
+    if sums is not None and _GRAD_ENABLED:
+        if xv.shape[-1] <= _INT16_SUMS_K:
+            sums = sums.astype(np.int16)
+        out._sums = CodeSums(sums, xin.row_factor, qw.scales)
+    return out
 
 
 def vsum(a: Var) -> Var:
@@ -532,6 +608,7 @@ def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
     def backward(g):
         p = np.exp(logp).reshape(-1, shape[-1])  # a fresh array
         p[np.arange(flat_idx.size), flat_idx] -= 1.0
-        return ((g / flat_idx.size) * p.reshape(shape),)
+        p *= g / flat_idx.size
+        return (p.reshape(shape),)
 
     return Var(loss, (logits,), backward)

@@ -12,6 +12,7 @@ per head per position after the rotary embedding, keeping absolute position
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .quantcore import QuantScheme, fake_quant, unsigned_codes, unsigned_values
+from .quantcore import QuantScheme, fake_quant, operand, unsigned_codes, unsigned_values
 from .sparsify import gate_active_channels, measure_sparsity
 
 VALID_KV_BITS = (3, 4, 8)
@@ -343,10 +344,35 @@ def attention_forward(
     if h % n_heads != 0:
         raise ValueError(f"hidden size {h} not divisible by {n_heads} heads")
     check_bit_widths(kv_bits, q_bits)
-    if cache is not None and ad.grad_enabled():
-        raise ValueError("a KV cache serves inference only; run the forward under no_grad")
     qkv = bitlinear_forward(qkv_layer, x)
     return bitlinear_forward(out_layer, attention_core(qkv, n_heads, kv_bits, q_bits, cache))
+
+
+@functools.cache
+def _score_scale(head_dim: int) -> np.ndarray:
+    # 1/sqrt(head_dim) as a 0-d operand (quantcore.operand)
+    return operand(1.0 / math.sqrt(head_dim))
+
+
+def _attend(qkv: np.ndarray, n_heads: int, kv_bits: int, q_bits: int, past: int, cache: KvCache | None):
+    """Q, K, V and the softmax p of a (b, t, 3h) qkv output whose positions
+    follow ``past`` ones: what the attention core's forward computes and its
+    adjoint rebuilds, with the same ops."""
+    b, t, h3 = qkv.shape
+    hd = h3 // (3 * n_heads)
+    positions = range(past, past + t)
+    heads = qkv.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
+    qk = ad.rope(heads[:2], positions)
+    q, k, v = qk[0], qk[1], heads[2]
+    if q_bits == 4:
+        q = fake_quant(q, _Q4)
+    if kv_bits != 8 or cache is not None:
+        k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, positions, cache)
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= _score_scale(hd)
+    if t > 1:  # one query's mask is all zeros
+        scores += causal_mask(t, past)
+    return q, k, v, ad.softmax(scores)
 
 
 def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvCache | None = None) -> Var:
@@ -357,49 +383,39 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
     q_bits=4 and K/V below kv_bits=8. With a ``cache``, the new K/V are
     quantized once, straight into the cache, by ``kv_fake_quant_values``
     (at kv_bits=8 stored raw), and every key and value is read back from
-    the cache, so a decode step computes one position. The adjoint passes
-    the gradient straight through each quantizer; the rest is the exact
-    adjoint of the scores, softmax and context products, one numpy
-    expression per step.
+    the cache, so a decode step computes one position. The adjoint keeps
+    only the qkv output, as its code sums where it has them
+    (``Var.kept``), and rebuilds Q, K, V and the softmax from it with the
+    forward's ops (``_attend``). It passes the gradient straight through
+    each quantizer; the rest is the exact adjoint of the scores, softmax
+    and context products, one numpy expression per step.
     """
+    if cache is not None and ad.grad_enabled():
+        raise ValueError("a KV cache serves inference only; run the forward under no_grad")
     b, t, h3 = qkv.value.shape
     h = h3 // 3
     hd = h // n_heads
     past = 0 if cache is None else len(cache)
-    positions = range(past, past + t)
-    scale = 1.0 / math.sqrt(hd)
-
-    heads = qkv.value.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
-    qk = ad.rope(heads[:2], positions)
-    q, k = qk[0], qk[1]
-    if q_bits == 4:
-        q = fake_quant(q, _Q4)
-    if kv_bits != 8 or cache is not None:
-        k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, positions, cache)
-    else:
-        # a copy of V: the adjoint holds it, and a view would pin the whole
-        # (b, t, 3h) qkv output
-        v = heads[2].copy()
-
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    if t > 1:  # one query's mask is all zeros
-        scores = scores + causal_mask(t, past)
-    p = ad.softmax(scores)
+    _, _, v, p = _attend(qkv.value, n_heads, kv_bits, q_bits, past, cache)
     ctx = (p @ v).transpose(0, 2, 1, 3).reshape(b, t, h)
+    kept = qkv.kept()
 
     def backward(g):
+        # the tape runs no cache, so the rebuild starts at position 0
+        q, k, v, p = _attend(ad.rebuild(kept), n_heads, kv_bits, q_bits, 0, None)
         go = g.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
         dv = p.swapaxes(-1, -2) @ go
         # ds = p * (dp - sum(dp * p)) * scale, dp = go @ v^T, in dp's buffer
         ds = go @ v.swapaxes(-1, -2)
         ds -= np.sum(ds * p, axis=-1, keepdims=True)
         ds *= p
-        ds *= scale
+        ds *= _score_scale(hd)
+        del v, p  # each rebuilt array goes once the last product reading it ran
         dqk = np.empty((2, *dv.shape))
         np.matmul(ds, k, out=dqk[0])
         dqk[1] = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
-        del ds
-        dqk = ad.rope_adjoint(dqk, positions)
+        del q, k, ds
+        dqk = ad.rope_adjoint(dqk, range(t))
         # adding into zeros maps -0.0 to 0.0, the bits a sum of zero-padded
         # q, k and v gradients would have
         dqkv = np.zeros((b, t, 3, n_heads, hd))

@@ -158,6 +158,16 @@ class TransformerModel:
         return [part for blk in self.blocks for part in vars(blk).values() if isinstance(part, BitLinearLayer)]
 
 
+def parameter_count(config: ModelConfig) -> int:
+    """The number of parameter values a model of ``config`` holds, counted
+    in Python ints from the configuration alone, without building it."""
+    h, g, v = config.hidden_size, config.glu_size, config.vocab_size
+    # per block: two norm gains, qkv and attn_out, gate, up and down
+    per_block = 2 * h + 4 * h * h + 3 * g * h
+    # the embedding and head tables and the final norm gain
+    return 2 * v * h + h + config.n_layers * per_block
+
+
 def stage_bindings(stage: Stage, fp4_mode: bool) -> dict[Site, tuple[QuantScheme | None, float | None]]:
     """Per-site (input scheme, top-K fraction) for a training stage."""
     stage = Stage(stage)

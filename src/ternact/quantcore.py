@@ -23,6 +23,7 @@ and constant operands are 0-d arrays (``operand``).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,6 +59,13 @@ def operand(value: float) -> np.ndarray:
     a = np.array(value, dtype=np.float64)
     a.flags.writeable = False
     return a
+
+
+@functools.cache
+def count_operand(n: int) -> np.ndarray:
+    """``operand(n)`` for an integer count, an axis length say: one shared
+    array per count, so a ufunc dividing by a length skips the conversion."""
+    return operand(n)
 
 
 _ZERO, _HALF, _ONE, _TWO = operand(0.0), operand(0.5), operand(1.0), operand(2.0)
@@ -212,7 +220,7 @@ def _group_absmean(x: np.ndarray, granularity: Granularity) -> np.ndarray:
     # computes, bit for bit
     if granularity is Granularity.PER_TENSOR:
         return np.asarray(np.add.reduce(np.abs(x), axis=None) / x.size)
-    return np.add.reduce(np.abs(x), axis=-1) / x.shape[-1]
+    return np.add.reduce(np.abs(x), axis=-1) / count_operand(x.shape[-1])
 
 
 def _expand(scales: np.ndarray, granularity: Granularity) -> np.ndarray:

@@ -11,11 +11,15 @@ infinite scale, or scales of a shape the granularity does not give; writing
 refuses such a code first. Every length and dimension field is bounded by
 the bytes left in the (seekable) stream before it is read, and a shape numpy
 cannot form is refused.
+A dense block's values widen to f64 with no warning, a signalling NaN
+included.
 Checkpoints are a ``BA48CKPT1`` magic, a length-prefixed JSON header carrying
 the model configuration and parameter order, and one dense block per
 parameter in that order. Values are stored as f32, so loading widens
-back to f64 but does not recover bits beyond f32; a checkpoint with a
-parameter that is not finite in f32 is refused.
+back to f64 but does not recover bits beyond f32; a parameter that is not
+finite in f32 is refused on save and on load. The loader builds the model
+only once the file holds the 4 bytes per parameter value that the header's
+configuration claims.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .model import ModelConfig, TransformerModel
+from .model import ModelConfig, TransformerModel, parameter_count
 from .quantcore import Granularity, QuantizedTensor, QuantScheme, SchemeKind, code_range
 
 TENSOR_MAGIC = b"BA48"
@@ -55,12 +59,17 @@ def _code_dtype(scheme: QuantScheme) -> np.dtype:
     return np.dtype(np.uint8 if scheme.kind is SchemeKind.UNSIGNED_ABSMAX else np.int8)
 
 
-def _read_exact(f: BinaryIO, n: int) -> bytes:
-    # a length read from the stream is bounded by the bytes the stream holds
-    # before anything is allocated for it
+def _bytes_left(f: BinaryIO) -> int:
     start = f.tell()
     left = f.seek(0, io.SEEK_END) - start
     f.seek(start)
+    return left
+
+
+def _read_exact(f: BinaryIO, n: int) -> bytes:
+    # a length read from the stream is bounded by the bytes the stream holds
+    # before anything is allocated for it
+    left = _bytes_left(f)
     if n > left:
         raise FormatError(f"truncated stream: wanted {n} bytes, {left} left")
     data = f.read(n)
@@ -109,7 +118,11 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
         raise FormatError("quantized block where a dense tensor was expected")
     shape, count = _read_dims(f, rank)
     data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4")
-    return _reshaped(data.astype(np.float64), shape)
+    # a signalling NaN widens to a quiet one; without the errstate the cast
+    # warns "invalid value"
+    with np.errstate(invalid="ignore"):
+        values = data.astype(np.float64)
+    return _reshaped(values, shape)
 
 
 def write_quantized(f: BinaryIO, q: QuantizedTensor) -> None:
@@ -249,6 +262,11 @@ def load_checkpoint(path) -> tuple[TransformerModel, dict]:
             raise
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise FormatError(f"malformed checkpoint header: {type(e).__name__}: {e}") from e
+        # every parameter value takes 4 bytes, so a header that claims more
+        # than the file holds is refused before the model is built
+        needed, left = 4 * parameter_count(config), _bytes_left(f)
+        if needed > left:
+            raise FormatError(f"the header's model needs {needed} bytes of parameters, the file holds {left}")
         model = TransformerModel(config, seed=0)
         params = model.named_parameters()
         if set(names) != set(params):
@@ -259,5 +277,7 @@ def load_checkpoint(path) -> tuple[TransformerModel, dict]:
                 raise FormatError(
                     f"shape mismatch for {name}: {value.shape} vs {params[name].value.shape}"
                 )
+            if not np.isfinite(value).all():
+                raise FormatError(f"parameter {name} is not finite")
             params[name].value = value
     return model, extra

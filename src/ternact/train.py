@@ -161,15 +161,29 @@ def adamw_update(
         if g is None:
             continue
         # the moments update in place; the weights are rebound, never
-        # written, because the weight-code cache keys on their identity
+        # written, because the weight-code cache keys on their identity.
+        # The update p - lr mhat / (sqrt(vhat) + eps) - lr wd p is formed in
+        # two buffers, `new` (the next weights) and `scratch`, with the
+        # expression's ops in its order (a product's operand order moves
+        # no bit)
         m, v = state.m[name], state.v[name]
+        scratch = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        mhat = m / (1.0 - b1**t)
-        vhat = v / (1.0 - b2**t)
-        p.value = p.value - lr * mhat / (np.sqrt(vhat) + ADAM_EPS) - lr * wd * p.value
+        v += scratch
+        new = np.divide(m, 1.0 - b1**t)  # mhat
+        new *= lr
+        np.divide(v, 1.0 - b2**t, out=scratch)  # vhat
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        new /= scratch
+        np.subtract(p.value, new, out=new)
+        np.multiply(p.value, lr * wd, out=scratch)
+        new -= scratch
+        p.value = new
 
 
 def train_step(

@@ -534,7 +534,7 @@ class TestCodeMatmul:
         codes = np.full((2, k), -128.0, dtype=np.float32)
         wcodes = np.full((3, k), -1.0, dtype=np.float32)
         out = ad.code_matmul(codes, wcodes)
-        assert out.dtype == np.float64
+        assert out.dtype == np.float32  # the exact sums; bitlinear widens them as it scales
         assert np.all(out == 128.0 * k)
 
     def test_equals_float64_product_bit_for_bit(self):

@@ -93,6 +93,13 @@ class TestParameterCount:
         full = sum(p.value.size for p in TransformerModel(cfg, seed=0).named_parameters().values())
         assert full - closed_form_param_count(cfg) == 2 * cfg.vocab_size * cfg.hidden_size
 
+    @pytest.mark.parametrize("cfg", [tiny_config(), tiny_config(n_layers=1, glu_size=40, vocab_size=7), ModelConfig()],
+                             ids=["tiny", "one-layer", "default"])
+    def test_parameter_count_is_the_built_models(self, cfg):
+        # load_checkpoint bounds a header's claim by it before building
+        full = sum(p.value.size for p in TransformerModel(cfg, seed=0).named_parameters().values())
+        assert model_mod.parameter_count(cfg) == full
+
     def test_named_parameter_keys(self):
         model = TransformerModel(tiny_config(), seed=0)
         keys = set(model.named_parameters())

@@ -4,11 +4,13 @@ with f32 value storage and byte-reproducible output."""
 import dataclasses
 import hashlib
 import io
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from ternact import tensorio
 from ternact.model import ModelConfig, Stage, TransformerModel
 from ternact.quantcore import SCHEMES, Granularity, QuantizedTensor, QuantScheme, SchemeKind, quantize
 from ternact.tensorio import (
@@ -94,6 +96,18 @@ class TestDenseTensor:
         block[13:21] = struct.pack("<Q", 2**63)
         with pytest.raises(FormatError, match="cannot be formed"):
             read_tensor(io.BytesIO(bytes(block)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_signalling_nan_widens_without_a_warning(self):
+        # the last value of a (2, 2) block set to a signalling NaN: the f32 ->
+        # f64 cast warned "invalid value encountered in cast"
+        buf = io.BytesIO()
+        write_tensor(buf, np.ones((2, 2)))
+        block = bytearray(buf.getvalue())
+        block[-4:] = struct.pack("<I", 0x7F800001)
+        out = read_tensor(io.BytesIO(bytes(block)))
+        assert np.isnan(out[1, 1])
+        np.testing.assert_array_equal(out.flat[:3], 1.0)
 
 
 class TestQuantizedTensor:
@@ -377,6 +391,45 @@ class TestCheckpoint:
         data[offset] = 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    # the head is the last block of a checkpoint; its last value rewritten
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000, 0xFF800000], ids=["snan", "nan", "-inf"])
+    def test_non_finite_parameter_is_a_format_error_naming_it(self, tmp_path, bits):
+        # save_checkpoint refuses to write one, so load_checkpoint refuses it
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model())
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<I", bits)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="parameter head is not finite"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def with_model_config(path, **changes) -> None:
+        """Rewrite the header of the checkpoint at ``path`` with ``changes``
+        laid over its model config; the tensors stay as they are."""
+        data = path.read_bytes()
+        (length,) = struct.unpack("<Q", data[9:17])
+        header = json.loads(data[17 : 17 + length])
+        header["model_config"].update(changes)
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:9] + struct.pack("<Q", len(blob)) + blob + data[17 + length :])
+
+    @pytest.mark.parametrize("changes", [{"hidden_size": 2**20}, {"n_layers": 10**12}, {"n_layers": 3}],
+                             ids=["hidden-2^20", "layers-10^12", "one-layer-more"])
+    def test_header_claiming_more_than_the_file_holds_builds_no_model(self, tmp_path, monkeypatch, changes):
+        # a 2^20-wide model would need about 35 TB: the header's claim is
+        # bounded by the bytes left in the file before any model is built
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model())
+        self.with_model_config(path, **changes)
+
+        def build(*args, **kwargs):
+            raise AssertionError("the model was built")
+        monkeypatch.setattr(tensorio, "TransformerModel", build)
+        with pytest.raises(FormatError, match="needs .* bytes of parameters"):
             load_checkpoint(path)
 
     def test_largest_f32_value_accepted(self, tmp_path):

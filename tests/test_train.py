@@ -276,7 +276,7 @@ class TestTapeRelease:
         # every projection input is quantized, so its adjoint holds codes:
         # each block's normed inputs, context and FFN product go as soon as
         # the next op has run, and so do the qkv, attn_out and down outputs
-        # (at kv8 the attention adjoint holds a copy of V, not the qkv output)
+        # (the attention adjoint holds the qkv output's code sums)
         model = tiny_model(stage=stage, kv_bits=kv_bits)
         refs = {}
 
@@ -306,6 +306,43 @@ class TestTapeRelease:
         for p in model.named_parameters().values():
             assert p.grad is not None
 
+    @pytest.mark.parametrize("q_bits", [4, 16])
+    @pytest.mark.parametrize("kv_bits", [3, 4, 8])
+    @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
+    def test_forward_keeps_code_sums_not_activations(self, monkeypatch, stage, kv_bits, q_bits):
+        # the FFN and attention adjoints keep the code sums of up, gate and
+        # qkv and rebuild the float64 values in backward, so up and gate,
+        # the rotated Q/K, the fake-quantized K/V, the qkv output (whose view
+        # is V at kv8) and p are all gone when the forward ends. (When the
+        # adjoint kept Q, it pinned the whole rotated Q/K buffer at q16.)
+        model = tiny_model(stage=stage, kv_bits=kv_bits, q_bits=q_bits)
+        refs = {}
+
+        def record(name, module, fn_name, arrays):
+            fn = getattr(module, fn_name)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                refs.setdefault(name, []).extend(weakref.ref(a) for a in arrays(args, out))
+                return out
+            monkeypatch.setattr(module, fn_name, wrapped)
+
+        record("up and gate", ad, "glu", lambda args, out: (args[0].value, args[1].value))
+        record("rotated Q/K", ad, "rope", lambda args, out: (out,))
+        record("p", ad, "softmax", lambda args, out: (out,))
+        record("qkv", layers_mod, "attention_core", lambda args, out: (args[0].value,))
+        record("K/V", layers_mod, "kv_fake_quant_values", lambda args, out: (out,))
+        inputs, targets = next(tiny_stream())
+        loss = ad.cross_entropy(model_forward(model, inputs), targets)
+        n = len(model.blocks)
+        assert {name: len(r) for name, r in refs.items()} == {
+            "up and gate": 2 * n, "rotated Q/K": n, "p": n, "qkv": n, **({"K/V": n} if kv_bits != 8 else {})}
+        alive = {name: sum(r() is not None for r in rs) for name, rs in refs.items()}
+        assert alive == dict.fromkeys(refs, 0)
+        loss.backward()
+        for p in model.named_parameters().values():
+            assert p.grad is not None
+
     @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
     def test_backward_frees_every_intermediate(self, stage):
         model = tiny_model(stage=stage)
@@ -327,15 +364,18 @@ class TestTapeRelease:
     @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
     def test_backward_memory_is_bounded_by_the_gradients(self, stage):
         # tracemalloc sees every numpy allocation, so the figures are exact:
-        # about 1 MB is traced after the forward at batch 8 (the tape keeps
-        # only what adjoints read, so batch 4 traces 0.6 MB, too little for
-        # the premise); a backward that kept the tape would peak near 2 MB
-        # and hold nearly all of it afterwards
-        config = ModelConfig(hidden_size=32, glu_size=64, n_heads=2, n_layers=2, vocab_size=64,
+        # with 0.7 MB of gradients, about 4.3 MB is traced after the forward
+        # and backward rises about 0.5 MB above that. The tape keeps code
+        # sums, and each adjoint rebuilds its own block's activations, so
+        # the rise is one block's rebuild plus the gradients: 8 layers, for
+        # it to stay under the gradients while the tape passes 4x them (at 2
+        # layers it passes them at every batch that fills such a tape). A
+        # backward that kept the tape would hold nearly all of it afterwards
+        config = ModelConfig(hidden_size=32, glu_size=64, n_heads=2, n_layers=8, vocab_size=64,
                              seq_len=16, stage=stage)
         model = TransformerModel(config, seed=0)
         chain = MarkovChain(MarkovDataConfig(vocab_size=64, seed=1))
-        inputs, targets = next(batch_stream(chain, batch_size=8, seq_len=16, seed=2))
+        inputs, targets = next(batch_stream(chain, batch_size=24, seq_len=16, seed=2))
         grad_bytes = sum(p.value.nbytes for p in model.named_parameters().values())
         tracemalloc.start()
         try:
@@ -349,6 +389,81 @@ class TestTapeRelease:
         assert start > 4 * grad_bytes
         assert peak - start < grad_bytes
         assert held < 1.25 * grad_bytes
+
+
+def keep_values(monkeypatch) -> None:
+    """Make the tape keep float64 values where it keeps code sums: every
+    output's ``kept`` is its value, and the attention adjoint reads the Q,
+    K, V and p its forward computed instead of rebuilding them."""
+    monkeypatch.setattr(ad.Var, "kept", lambda self: self.value)
+    attend, forward = layers_mod._attend, {}
+
+    def keeping(qkv, *args):
+        # the adjoint's call gets the very array the forward's did
+        if id(qkv) not in forward:
+            forward[id(qkv)] = qkv, attend(qkv, *args)
+        return forward[id(qkv)][1]
+    monkeypatch.setattr(layers_mod, "_attend", keeping)
+
+
+def step_gradients(config: ModelConfig) -> dict[str, np.ndarray]:
+    model = TransformerModel(config, seed=5)
+    inputs, targets = next(tiny_stream())
+    ad.cross_entropy(model_forward(model, inputs), targets).backward()
+    return {name: p.grad for name, p in model.named_parameters().items()}
+
+
+class TestCodeSumTape:
+    """Adjoints that keep code sums rebuild the float64 values bit for bit,
+    so the gradients are those of a tape that keeps the values."""
+
+    @staticmethod
+    def assert_bit_equal(got: dict, want: dict) -> None:
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("kv_bits,q_bits", [(8, 16), (3, 4)], ids=["kv8-q16", "kv3-q4"])
+    @pytest.mark.parametrize("fp4_mode", [False, True], ids=["int4", "fp4"])
+    @pytest.mark.parametrize("activation", ["relu2", "silu"])
+    @pytest.mark.parametrize("stage", [Stage.STAGE1, Stage.STAGE2])
+    def test_gradients_equal_a_tape_that_keeps_the_values(self, monkeypatch, stage, activation, fp4_mode,
+                                                          kv_bits, q_bits):
+        config = dict(hidden_size=16, glu_size=44, n_heads=2, n_layers=2, vocab_size=32, seq_len=16, stage=stage,
+                      activation=activation, fp4_mode=fp4_mode, kv_bits=kv_bits, q_bits=q_bits)
+        got = step_gradients(ModelConfig(**config))
+        with monkeypatch.context() as m:
+            keep_values(m)
+            want = step_gradients(ModelConfig(**config))
+        self.assert_bit_equal(got, want)
+
+    @pytest.mark.parametrize("hidden,dtype", [(16, np.int16), (256, np.float32)], ids=["hidden-16", "hidden-256"])
+    def test_sums_are_int16_while_k_times_128_fits(self, monkeypatch, hidden, dtype):
+        # up, gate and qkv contract over K = hidden: int16 holds K * 128 up
+        # to K = 255, so a hidden-256 model keeps float32 sums
+        config = ModelConfig(hidden_size=hidden, glu_size=24, n_heads=4, n_layers=1, vocab_size=32, seq_len=16,
+                             stage=Stage.STAGE2)
+        kept = []
+        glu, core = ad.glu, layers_mod.attention_core
+
+        def glu_keeping(up, gate, activation):
+            kept.extend((up.kept(), gate.kept()))
+            return glu(up, gate, activation)
+
+        def core_keeping(qkv, *args):
+            kept.append(qkv.kept())
+            return core(qkv, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "glu", glu_keeping)
+            m.setattr(layers_mod, "attention_core", core_keeping)
+            got = step_gradients(config)
+        assert len(kept) == 3
+        assert all(type(k) is ad.CodeSums and k.sums.dtype == dtype for k in kept)
+        with monkeypatch.context() as m:
+            keep_values(m)
+            want = step_gradients(config)
+        self.assert_bit_equal(got, want)
 
 
 class TestNonFiniteForward:
