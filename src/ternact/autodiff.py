@@ -206,11 +206,15 @@ def linear(x: Var, w: Var) -> Var:
     if wv.ndim != 2 or xv.shape[-1] != wv.shape[1]:
         raise ValueError(f"linear shape mismatch: {xv.shape} @ {wv.shape}.T")
 
-    def backward(g):
-        g2 = g.reshape(-1, wv.shape[0])
-        return g @ wv, g2.T @ xv.reshape(-1, wv.shape[1])
+    # each product is one 2-D gemm over the flattened rows: numpy runs a
+    # stacked operand as one gemm per leading index, which costs more
+    out, k = wv.shape
 
-    return Var(xv @ wv.T, (x, w), backward)
+    def backward(g):
+        g2 = g.reshape(-1, out)
+        return (g2 @ wv).reshape(xv.shape), g2.T @ xv.reshape(-1, k)
+
+    return Var((xv.reshape(-1, k) @ wv.T).reshape(*xv.shape[:-1], out), (x, w), backward)
 
 
 def embedding(table: Var, tokens: np.ndarray) -> Var:
@@ -302,9 +306,11 @@ def rmsnorm(x: Var, gain: Var) -> Var:
     x, gain = as_var(x), as_var(gain)
     xv = x.value
     n = count_operand(xv.shape[-1])
-    # r has one entry per row: at a decode step's one row, a new array is
-    # cheaper than an in-place update
-    r = np.sqrt(np.add.reduce(xv * xv, axis=-1, keepdims=True) / n + _RMSNORM_EPS)
+    # one buffer holds the squares, then the output. r has one entry per
+    # row: at a decode step's one row, a new array is cheaper than an
+    # in-place update
+    y = xv * xv
+    r = np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / n + _RMSNORM_EPS)
     gv = gain.value
 
     def backward(g):
@@ -320,7 +326,9 @@ def rmsnorm(x: Var, gain: Var) -> Var:
         t *= g
         return dx, np.add.reduce(t, axis=tuple(range(g.ndim - 1)))
 
-    return Var(xv / r * gv, (x, gain), backward)
+    np.divide(xv, r, out=y)
+    y *= gv
+    return Var(y, (x, gain), backward)
 
 
 def softmax(a: np.ndarray) -> np.ndarray:
@@ -354,7 +362,8 @@ def _rope_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _rotate(v: np.ndarray, positions: np.ndarray, sign: float) -> np.ndarray:
     # pair (e, o) turns into (e*cos - o*sin, o*cos + e*sin), or by the
     # opposite angle for sign -1. The cos product runs over whole rows; the
-    # sin products update the two strided halves in place.
+    # sin products, formed in one half-size buffer, update the two strided
+    # halves in place.
     d = v.shape[-1]
     if d % 2 != 0:
         raise ValueError(f"rope requires an even head_dim, got {d}")
@@ -369,12 +378,13 @@ def _rotate(v: np.ndarray, positions: np.ndarray, sign: float) -> np.ndarray:
     sin = sin[rows]
     out = v * cos[rows]
     even, odd = v[..., 0::2], v[..., 1::2]
+    product = np.multiply(odd, sin)
     if sign > 0:
-        out[..., 0::2] -= odd * sin
-        out[..., 1::2] += even * sin
+        out[..., 0::2] -= product
+        out[..., 1::2] += np.multiply(even, sin, out=product)
     else:
-        out[..., 0::2] += odd * sin
-        out[..., 1::2] -= even * sin
+        out[..., 0::2] += product
+        out[..., 1::2] -= np.multiply(even, sin, out=product)
     return out
 
 
@@ -421,8 +431,10 @@ class InputCodes(NamedTuple):
 
 
 def _masked_values(q: QuantizedTensor, mask: np.ndarray | None) -> np.ndarray:
-    deq = dequantize(q)
-    return deq if mask is None else deq * mask
+    deq = dequantize(q)  # a fresh array
+    if mask is not None:
+        deq *= mask
+    return deq
 
 
 def _int8_codes(q: QuantizedTensor) -> QuantizedTensor:
@@ -460,16 +472,21 @@ def weight_codes(w: Var, scheme: QuantScheme) -> QuantizedTensor:
     every update, which invalidates the entry; the cached array is marked
     read-only so an in-place write fails instead of serving stale codes. The
     cache holds only a weak reference to the array it was built from.
+    The cached codes are stored (in, out)-contiguous, ``codes`` being the
+    transposed view, so the ``codes.T`` a code matmul reads is C-ordered:
+    BLAS runs a few-row product several times faster on it than on the
+    transposed layout, and the integer sums are the same.
     """
     wv = w.value
     hit = w._codes
     if hit is not None and hit[0]() is wv and (hit[1] is scheme or hit[1] == scheme):
         return hit[2]
     q = quantize(wv, scheme)
-    q.codes.flags.writeable = False
     if not _GRAD_ENABLED:
+        q = q._replace(codes=np.ascontiguousarray(q.codes.T).T)
         wv.flags.writeable = False
         w._codes = (weakref.ref(wv), scheme, q)
+    q.codes.flags.writeable = False
     return q
 
 
@@ -568,11 +585,14 @@ def bitlinear(
     else:
         y = fq_input() @ fq_weights().T
 
+    xshape = xv.shape  # what the adjoint reads of x when x is quantized
+
     def backward(g):
-        dx = g @ fq_weights()
+        # both products are one 2-D gemm over the flattened rows (see linear)
+        g2 = g.reshape(-1, wv.shape[0])
+        dx = (g2 @ fq_weights()).reshape(xshape)
         if mask is not None:
             dx *= mask
-        g2 = g.reshape(-1, wv.shape[0])
         dw = g2.T @ fq_input().reshape(-1, wv.shape[1])
         return dx, dw
 
@@ -599,14 +619,15 @@ def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
         raise ValueError(f"target shape {targets.shape} does not match logits {lv.shape}")
     shifted = lv - np.max(lv, axis=-1, keepdims=True)
     logz = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    logp = shifted - logz
+    logp = np.subtract(shifted, logz, out=shifted)
     flat_idx = targets.reshape(-1)
     picked = logp.reshape(-1, lv.shape[-1])[np.arange(flat_idx.size), flat_idx]
     loss = -np.mean(picked)
     shape = lv.shape
 
     def backward(g):
-        p = np.exp(logp).reshape(-1, shape[-1])  # a fresh array
+        # in logp's buffer: a consumed tape runs each adjoint once
+        p = np.exp(logp, out=logp).reshape(-1, shape[-1])
         p[np.arange(flat_idx.size), flat_idx] -= 1.0
         p *= g / flat_idx.size
         return (p.reshape(shape),)

@@ -362,7 +362,9 @@ def _attend(qkv: np.ndarray, n_heads: int, kv_bits: int, q_bits: int, past: int,
     hd = h3 // (3 * n_heads)
     positions = range(past, past + t)
     heads = qkv.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
-    qk = ad.rope(heads[:2], positions)
+    # rope reads a contiguous copy: on the strided head view its passes cost
+    # more than the copy
+    qk = ad.rope(np.ascontiguousarray(heads[:2]), positions)
     q, k, v = qk[0], qk[1], heads[2]
     if q_bits == 4:
         q = fake_quant(q, _Q4)
@@ -397,7 +399,11 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
     hd = h // n_heads
     past = 0 if cache is None else len(cache)
     _, _, v, p = _attend(qkv.value, n_heads, kv_bits, q_bits, past, cache)
-    ctx = (p @ v).transpose(0, 2, 1, 3).reshape(b, t, h)
+    # the context products land in (b, t, heads, head_dim) order, so the
+    # (b, t, h) context is a view, not a transposed copy
+    ctx = np.empty((b, t, n_heads, hd))
+    np.matmul(p, v, out=ctx.transpose(0, 2, 1, 3))
+    ctx = ctx.reshape(b, t, h)
     kept = qkv.kept()
 
     def backward(g):
@@ -413,15 +419,15 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
         del v, p  # each rebuilt array goes once the last product reading it ran
         dqk = np.empty((2, *dv.shape))
         np.matmul(ds, k, out=dqk[0])
-        dqk[1] = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        np.matmul(ds.swapaxes(-1, -2), q, out=dqk[1])
         del q, k, ds
         dqk = ad.rope_adjoint(dqk, range(t))
-        # adding into zeros maps -0.0 to 0.0, the bits a sum of zero-padded
-        # q, k and v gradients would have
-        dqkv = np.zeros((b, t, 3, n_heads, hd))
+        # adding 0.0 maps -0.0 to 0.0, the bits a sum of zero-padded q, k
+        # and v gradients would have
+        dqkv = np.empty((b, t, 3, n_heads, hd))
         dheads = dqkv.transpose(2, 0, 3, 1, 4)
-        dheads[:2] += dqk
-        dheads[2] += dv
+        np.add(dqk, 0.0, out=dheads[:2])
+        np.add(dv, 0.0, out=dheads[2])
         return (dqkv.reshape(b, t, h3),)
 
     return Var(ctx, (qkv,), backward)

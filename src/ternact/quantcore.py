@@ -295,13 +295,18 @@ def quantize(x, scheme: QuantScheme) -> QuantizedTensor:
     else:
         # ternary, int8 and int4 invert dequantize's (point / divisor) * scale:
         # divisor * x / scale in one fresh array (asarray: a 0-d result is a
-        # scalar), rounded half away from zero and clipped in place
+        # scalar; ternary's divisor is 1, and 1 * x is x), rounded half away
+        # from zero and clipped in place
         scales = (_group_absmax if kind is SchemeKind.INT8_ABSMAX else _group_absmean)(arr, granularity)
         if kind is SchemeKind.INT4_ABSMEAN and scheme.multiplier != 1.0:  # 1.0 * s is s, bit for bit
             scales = scheme.multiplier * scales
         lattice = LATTICES[kind]
-        t = np.asarray(lattice.divisor * arr)
-        t /= _expand(scales, granularity) + _EPS
+        denominator = _expand(scales, granularity) + _EPS
+        if lattice.divisor == 1.0:
+            t = np.asarray(arr / denominator)
+        else:
+            t = np.asarray(lattice.divisor * arr)
+            t /= denominator
         t += np.copysign(_HALF, t)
         np.trunc(t, out=t)
         np.maximum(t, lattice.lo, out=t)

@@ -29,6 +29,7 @@ import io
 import json
 import math
 import struct
+from collections import Counter
 from typing import BinaryIO
 
 import numpy as np
@@ -267,6 +268,10 @@ def load_checkpoint(path) -> tuple[TransformerModel, dict]:
         needed, left = 4 * parameter_count(config), _bytes_left(f)
         if needed > left:
             raise FormatError(f"the header's model needs {needed} bytes of parameters, the file holds {left}")
+        # a repeated name would let a later block replace an earlier one
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise FormatError(f"checkpoint header repeats the parameter name {repeated[0]!r}")
         model = TransformerModel(config, seed=0)
         params = model.named_parameters()
         if set(names) != set(params):

@@ -393,6 +393,22 @@ class TestTapeMechanics:
         finally:
             gc.enable()
 
+    def test_bitlinear_adjoint_keeps_a_quantized_input_only_as_codes(self):
+        # the adjoint reads x's codes and shape, so x's float64 value goes
+        # with the forward's Var (x is an op output: a leaf is its own tape
+        # node); an unquantized x is kept
+        import weakref
+
+        w, leaf = ad.Var(RNG.standard_normal((3, 4))), ad.Var(RNG.standard_normal((2, 5, 4)))
+        for scheme in (QuantScheme.int8(), None):
+            x = ad.add(leaf, leaf)
+            xin = None if scheme is None else ad.input_codes(x.value, scheme)
+            out = ad.bitlinear(x, w, xin, QuantScheme.ternary())
+            ref = weakref.ref(x.value)
+            del x, xin
+            assert (ref() is None) == (scheme is not None)
+            ad.vsum(out).backward()
+
     def test_backward_requires_scalar(self):
         x = ad.Var(np.ones(3))
         with pytest.raises(ValueError):
@@ -494,6 +510,15 @@ class TestWeightCodeCache:
             assert ad.weight_codes(w, self.TERNARY) is q
         assert q.codes.dtype == np.float32 and not q.codes.flags.writeable
         np.testing.assert_array_equal(q.codes, quantize(w.value, self.TERNARY).codes)
+
+    def test_cached_codes_are_stored_in_by_out(self):
+        # the code matmul reads codes.T, which BLAS multiplies fastest
+        # C-ordered at a decode step's few rows
+        w = ad.Var(RNG.standard_normal((4, 8)))
+        with ad.no_grad():
+            q = ad.weight_codes(w, self.TERNARY)
+        assert q.codes.shape == (4, 8) and not q.codes.flags.writeable
+        assert q.codes.T.flags.c_contiguous
 
     def test_replaced_array_is_not_kept_alive(self):
         import gc

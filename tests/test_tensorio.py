@@ -432,6 +432,24 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="needs .* bytes of parameters"):
             load_checkpoint(path)
 
+    def test_repeated_parameter_name_is_a_format_error(self, tmp_path):
+        # names that end in a second "embedding", with one more block
+        # appended, passed the name-set and byte checks, and the last block
+        # silently replaced the embedding
+        model = tiny_model(n_layers=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        data = path.read_bytes()
+        (length,) = struct.unpack("<Q", data[9:17])
+        header = json.loads(data[17 : 17 + length])
+        header["param_names"].append("embedding")
+        blob = json.dumps(header).encode()
+        extra = io.BytesIO()
+        write_tensor(extra, np.zeros_like(model.embedding.value))
+        path.write_bytes(data[:9] + struct.pack("<Q", len(blob)) + blob + data[17 + length :] + extra.getvalue())
+        with pytest.raises(FormatError, match="repeats the parameter name 'embedding'"):
+            load_checkpoint(path)
+
     def test_largest_f32_value_accepted(self, tmp_path):
         model = tiny_model()
         model.head.value[0, 0] = -float(np.finfo(np.float32).max)
