@@ -478,12 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ternact", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
+    def configured(p, seeded=False):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
 
     p_train = sub.add_parser("train", help="run the two-stage recipe or an ablation preset")
-    common(p_train)
+    configured(p_train, seeded=True)
     p_train.add_argument("--out-dir", required=True)
     p_train.add_argument("--ablation", choices=sorted(ABLATION_PRESETS), default=None)
     p_train.add_argument("--steps", type=int, default=None, dest="total_steps")
@@ -511,21 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients on the small fixture model")
-    common(p_grad)
+    configured(p_grad, seeded=True)
     p_grad.add_argument("--out-dir", default=None)
     p_grad.add_argument("--samples", type=int, default=25, help="coordinates per tensor")
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_sp = sub.add_parser("sparsity", help="measure per-site input sparsity of a checkpoint")
-    common(p_sp)
+    configured(p_sp)
     p_sp.add_argument("--checkpoint", required=True)
     p_sp.add_argument("--out-dir", required=True)
     p_sp.add_argument("--batches", type=int, default=8)
     p_sp.set_defaults(func=cmd_sparsity)
 
     p_hist = sub.add_parser("hist", help="histogram of pre-quantization inputs at a site")
-    common(p_hist)
+    configured(p_hist)
     p_hist.add_argument("--checkpoint", required=True)
     p_hist.add_argument("--out-dir", required=True)
     p_hist.add_argument("--site", choices=[s.value for s in Site], required=True)
@@ -534,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist.set_defaults(func=cmd_hist)
 
     p_kv = sub.add_parser("kv-eval", help="held-out perplexity of a KV/Q bit-width variant")
-    common(p_kv)
+    configured(p_kv)
     p_kv.add_argument("--checkpoint", required=True)
     p_kv.add_argument("--out-dir", required=True)
     p_kv.add_argument("--kv-bits", type=int, choices=VALID_KV_BITS, default=4)
@@ -543,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kv.set_defaults(func=cmd_kv_eval)
 
     p_q = sub.add_parser("quant", help="quantize a tensor file and report its error")
-    common(p_q)
     p_q.add_argument("--tensor", required=True)
     p_q.add_argument("--out-dir", required=True)
     p_q.add_argument("--scheme", choices=sorted(SCHEMES), required=True)
@@ -557,7 +557,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {k: getattr(args, k) for k in DEFAULTS if hasattr(args, k)}
     try:
-        cfg = resolve_config(args.config, overrides)
+        cfg = resolve_config(getattr(args, "config", None), overrides)
         return args.func(cfg, args)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -194,73 +194,56 @@ def kv_code_bits(position: int, kv_bits: int) -> int:
     return 4 if position == 0 and kv_bits == 3 else kv_bits
 
 
-def kv_levels(positions: np.ndarray, kv_bits: int) -> np.ndarray:
-    """Level count 2^bits - 1 of each absolute position at ``kv_code_bits``,
-    shaped (T, 1) to broadcast against (..., T, head_dim) codes. Only a 3-
-    or 4-bit cache quantizes; kv_bits=8 is raw and has no levels."""
-    if kv_bits not in (3, 4):
-        raise ValueError(f"kv quantization expects 3 or 4 bits, got {kv_bits}")
-    bos = np.asarray(positions) == 0
-    return np.where(bos, 2.0 ** kv_code_bits(0, kv_bits) - 1.0, 2.0**kv_bits - 1.0)[:, None]
+def kv_fake_quant_values(kv: np.ndarray, kv_bits: int, cache: KvCache | None = None) -> np.ndarray:
+    """Fake-quantize K and V stacked as (2, ..., T, head_dim), per head per
+    position: each position reads back as ``fake_quant`` under
+    ``QuantScheme.unsigned(kv_code_bits(position, kv_bits))`` at its
+    absolute position, and kv_bits=8 reads back raw. A NaN or inf makes its
+    group non-finite.
 
-
-def kv_fake_quant_values(values: np.ndarray, kv_bits: int, positions, cache: KvCache | None = None) -> np.ndarray:
-    """Fake-quantize (..., T, head_dim) K or V heads at absolute
-    ``positions``, per head per position, each position at ``kv_code_bits``,
-    in one pass: each position reads back as ``fake_quant`` under
-    ``QuantScheme.unsigned(kv_code_bits(position, kv_bits))``. kv_bits=8 is
-    raw and raises ValueError here. Without a cache, like ``quantize``, a
-    pure map: a NaN or inf makes its group non-finite.
-
-    With a ``cache`` of the same kv_bits, ``values`` are K and V stacked as
-    (2, ..., n_heads, T, head_dim) at ``positions``, which must be the next T
-    positions the cache stores: they are quantized once, through the same
-    core, straight into the cache (``KvCache.store``; kv_bits=8 stores them
-    raw), and the result is every stored position, read back as
-    ``KvCache.read`` does. A cached forward stores its new K/V only here.
+    The values are stored at the next T positions of ``cache``, of the same
+    kv_bits, or of a fresh ``KvCache(kv_bits, T)`` (positions from 0), and
+    the result is every stored position, ``cache.read()``: the cache is the
+    one K/V quantizer.
     """
     if cache is None:
-        levels = kv_levels(positions, kv_bits)
-        values = np.asarray(values, dtype=np.float64)
-        scales = np.maximum.reduce(np.abs(values), axis=-1, keepdims=True)
-        return unsigned_values(unsigned_codes(values, scales, levels), scales, levels)
-    if cache.kv_bits != kv_bits:
+        cache = KvCache(kv_bits, np.shape(kv)[-2])
+    elif cache.kv_bits != kv_bits:
         raise ValueError(f"cache stores kv_bits={cache.kv_bits}, the fake-quant runs at {kv_bits}")
-    start = len(cache)
-    if list(positions) != list(range(start, start + np.asarray(values).shape[-2])):
-        raise ValueError(f"positions {list(positions)} are not the next ones of a cache holding {start}")
-    cache.store(values)
+    cache.store(kv)
     return cache.read()
 
 
 class KvCache:
-    """Append-only store of quantized K/V heads, read back whole by attention
-    during incremental decode.
+    """Append-only store of quantized K/V heads for up to ``capacity``
+    positions, read back whole by attention.
 
     K and V are stacked in one buffer, (2, ..., n_heads, capacity, head_dim),
-    of uint8 codes beside one scale per head per position and one level
-    count per position; kv_bits=8 disables quantization and stores raw
-    values. ``store`` is the one store path (``kv_fake_quant_values(...,
-    cache)`` calls it): it quantizes new positions once and writes their
-    codes and scales in place after the stored ones; a full buffer is copied
-    into one of twice the capacity. ``read`` is the one read path: it
-    dequantizes the stored prefix in one call, each position at
-    ``kv_code_bits``, so it is bit-equal to ``kv_fake_quant_values`` of the
-    same positions. A NaN or inf entry leaves its head-position group
-    reading back non-finite.
+    of uint8 codes beside one scale per head per position; kv_bits=8
+    disables quantization and stores raw values. The level count of each
+    position (2^bits - 1 at ``kv_code_bits``) is one table built here, and
+    the buffers are allocated once, at the first store, which fixes the
+    head shape. ``store`` is the one store path (``kv_fake_quant_values``
+    calls it): it quantizes new positions once and writes their codes and
+    scales in place after the stored ones. ``read`` is the one read path:
+    it dequantizes the stored prefix in one call. A NaN or inf entry leaves
+    its head-position group reading back non-finite.
     """
 
-    # positions the first buffer holds, at least
-    MIN_CAPACITY = 16
-
-    def __init__(self, kv_bits: int = 8):
+    def __init__(self, kv_bits: int, capacity: int):
         if kv_bits not in VALID_KV_BITS:
             raise ValueError(f"kv_bits must be one of {VALID_KV_BITS}, got {kv_bits}")
+        if capacity < 1:
+            raise ValueError(f"a KV cache holds at least one position, got capacity {capacity}")
         self.kv_bits = kv_bits
+        self.capacity = capacity
         self._len = 0
         self._kv: np.ndarray | None = None
         self._scales: np.ndarray | None = None
-        self._levels: np.ndarray | None = None
+        if kv_bits != 8:
+            # (capacity, 1): broadcasts against (..., T, head_dim) codes
+            self._levels = np.full((capacity, 1), 2.0**kv_bits - 1.0)
+            self._levels[0] = 2.0 ** kv_code_bits(0, kv_bits) - 1.0
 
     def __len__(self) -> int:
         return self._len
@@ -271,12 +254,17 @@ class KvCache:
         kv = np.asarray(kv, dtype=np.float64)
         if kv.ndim < 3 or kv.shape[0] != 2:
             raise ValueError(f"K and V must be stacked on a leading axis of 2, got shape {kv.shape}")
-        if self._kv is not None and kv.shape[:-2] + kv.shape[-1:] != self._kv.shape[:-2] + self._kv.shape[-1:]:
+        start, end = self._len, self._len + kv.shape[-2]
+        if end > self.capacity:
+            raise ValueError(f"{kv.shape[-2]} positions after {start} exceed the cache's capacity of {self.capacity}")
+        if self._kv is None:
+            shape = (*kv.shape[:-2], self.capacity, kv.shape[-1])
+            self._kv = np.empty(shape, dtype=np.float64 if self.kv_bits == 8 else np.uint8)
+            if self.kv_bits != 8:
+                self._scales = np.empty((*shape[:-1], 1))
+        elif kv.shape[:-2] + kv.shape[-1:] != self._kv.shape[:-2] + self._kv.shape[-1:]:
             cached = (*self._kv.shape[1:-2], self._len, self._kv.shape[-1])
             raise ValueError(f"heads of shape {kv.shape[1:]} do not match the cached {cached}")
-        start, end = self._len, self._len + kv.shape[-2]
-        if self._kv is None or end > self._kv.shape[-2]:
-            self._grow(kv.shape[1:], end)
         if self.kv_bits == 8:
             self._kv[..., start:end, :] = kv
         else:
@@ -287,21 +275,6 @@ class KvCache:
             codes = unsigned_codes(kv, scales, self._levels[start:end])
             np.fmax(codes, 0.0, out=self._kv[..., start:end, :], casting="unsafe")
         self._len = end
-
-    def _grow(self, shape: tuple[int, ...], end: int) -> None:
-        # move the stored positions into buffers of at least twice the room
-        capacity = max(end, self.MIN_CAPACITY, 0 if self._kv is None else 2 * self._kv.shape[-2])
-        lead = (2, *shape[:-2], capacity)
-        self._kv = self._moved(self._kv, lead + shape[-1:], np.float64 if self.kv_bits == 8 else np.uint8)
-        if self.kv_bits != 8:
-            self._scales = self._moved(self._scales, lead + (1,), np.float64)
-            self._levels = kv_levels(np.arange(capacity), self.kv_bits)
-
-    def _moved(self, old: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
-        new = np.empty(shape, dtype=dtype)
-        if old is not None:
-            new[..., : self._len, :] = old[..., : self._len, :]
-        return new
 
     def read(self) -> np.ndarray:
         """Dequantized keys and values in one call, stacked as (2, ...,
@@ -360,16 +333,15 @@ def _attend(qkv: np.ndarray, n_heads: int, kv_bits: int, q_bits: int, past: int,
     adjoint rebuilds, with the same ops."""
     b, t, h3 = qkv.shape
     hd = h3 // (3 * n_heads)
-    positions = range(past, past + t)
     heads = qkv.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
     # rope reads a contiguous copy: on the strided head view its passes cost
     # more than the copy
-    qk = ad.rope(np.ascontiguousarray(heads[:2]), positions)
+    qk = ad.rope(np.ascontiguousarray(heads[:2]), range(past, past + t))
     q, k, v = qk[0], qk[1], heads[2]
     if q_bits == 4:
         q = fake_quant(q, _Q4)
-    if kv_bits != 8 or cache is not None:
-        k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, positions, cache)
+    if kv_bits != 8 or cache is not None:  # uncached kv8 K/V are used as they are
+        k, v = kv_fake_quant_values(np.concatenate((qk[1:], heads[2:])), kv_bits, cache)
     scores = q @ k.swapaxes(-1, -2)
     scores *= _score_scale(hd)
     if t > 1:  # one query's mask is all zeros
@@ -382,15 +354,15 @@ def attention_core(qkv: Var, n_heads: int, kv_bits: int, q_bits: int, cache: KvC
     (b, t, h) context.
 
     Q and K rotate at their absolute positions; Q is fake-quantized when
-    q_bits=4 and K/V below kv_bits=8. With a ``cache``, the new K/V are
-    quantized once, straight into the cache, by ``kv_fake_quant_values``
-    (at kv_bits=8 stored raw), and every key and value is read back from
-    the cache, so a decode step computes one position. The adjoint keeps
-    only the qkv output, as its code sums where it has them
-    (``Var.kept``), and rebuilds Q, K, V and the softmax from it with the
-    forward's ops (``_attend``). It passes the gradient straight through
-    each quantizer; the rest is the exact adjoint of the scores, softmax
-    and context products, one numpy expression per step.
+    q_bits=4. K and V are quantized once, by ``kv_fake_quant_values``: into
+    ``cache`` when there is one (at kv_bits=8 stored raw), so a decode step
+    computes one position and reads every key and value back from the
+    cache, else below kv_bits=8 into a fresh cache of this call's
+    positions. The adjoint keeps only the qkv output, as its code sums
+    where it has them (``Var.kept``), and rebuilds Q, K, V and the softmax
+    from it with the forward's ops (``_attend``). It passes the gradient
+    straight through each quantizer; the rest is the exact adjoint of the
+    scores, softmax and context products, one numpy expression per step.
     """
     if cache is not None and ad.grad_enabled():
         raise ValueError("a KV cache serves inference only; run the forward under no_grad")

@@ -76,7 +76,7 @@ def site_param_counts(model: TransformerModel) -> dict[str, int]:
     return {row: sizes[site] for row, site in _ROW_SITE.items()}
 
 
-def sparsity_report(model: TransformerModel, eval_stream, n_batches: int = 8) -> SparsityReport:
+def sparsity_report(model: TransformerModel, eval_stream, n_batches: int) -> SparsityReport:
     """Run forwards and aggregate measured input sparsity per site."""
     if n_batches < 1:
         raise ValueError("need at least one batch")
@@ -134,13 +134,7 @@ def _strided_cap(flat: np.ndarray, cap: int) -> np.ndarray:
     return flat[::stride]
 
 
-def activation_histogram(
-    model: TransformerModel,
-    eval_stream,
-    site,
-    bins: int = 64,
-    n_batches: int = 4,
-) -> HistogramSpec:
+def activation_histogram(model: TransformerModel, eval_stream, site, bins: int, n_batches: int) -> HistogramSpec:
     """Histogram of pre-quantization input values at one projection site,
     deterministically subsampled to at most ``HIST_SAMPLE_CAP`` values."""
     site = Site(site)
@@ -169,7 +163,7 @@ def scheme_label(scheme: QuantScheme | None) -> str:
     return label
 
 
-def eval_perplexity(model: TransformerModel, eval_stream, n_batches: int = 8) -> float:
+def eval_perplexity(model: TransformerModel, eval_stream, n_batches: int) -> float:
     """exp(mean token cross-entropy) over held-out batches."""
     if n_batches < 1:
         raise ValueError("need at least one batch")

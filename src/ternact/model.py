@@ -210,10 +210,11 @@ def configure_identity(model: TransformerModel) -> TransformerModel:
 def model_forward(model: TransformerModel, tokens: np.ndarray, caches: list[KvCache] | None = None) -> Var:
     """Logits over the vocabulary, shape (batch, len, vocab).
 
-    With ``caches``, one ``KvCache`` per block, ``tokens`` continue the
-    positions the caches hold, and attention reads the earlier positions
-    from them (inference only, see ``attention_forward``). A block whose
-    output holds NaN or inf raises ``NonFiniteValueError`` naming it."""
+    With ``caches``, one ``KvCache`` per block, all holding the same number
+    of positions, ``tokens`` continue those positions, and attention reads
+    the earlier positions from them (inference only, see
+    ``attention_forward``). A block whose output holds NaN or inf raises
+    ``NonFiniteValueError`` naming it."""
     cfg = model.config
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -224,6 +225,8 @@ def model_forward(model: TransformerModel, tokens: np.ndarray, caches: list[KvCa
         raise ValueError(f"need one KV cache per block ({len(model.blocks)}), got {len(caches)}")
     else:
         past = len(caches[0])
+        if any(len(cache) != past for cache in caches):
+            raise ValueError(f"the KV caches hold different numbers of positions: {[len(c) for c in caches]}")
     if past + tokens.shape[1] > cfg.seq_len:
         raise ValueError(f"sequence length {past + tokens.shape[1]} exceeds seq_len {cfg.seq_len}")
     x = ad.embedding(model.embedding, tokens)
@@ -255,7 +258,8 @@ def model_forward(model: TransformerModel, tokens: np.ndarray, caches: list[KvCa
 def greedy_decode(model: TransformerModel, prompt: np.ndarray, n_new: int) -> np.ndarray:
     """Extend each prompt row with ``n_new`` argmax continuations.
 
-    The prompt fills one KV cache per block, then each step feeds only the
+    The prompt fills one KV cache per block, each sized at seq_len, the
+    most positions ``model_forward`` admits; then each step feeds only the
     token it just chose, so a token costs one position per layer. When the
     caches hold seq_len positions, the next step starts fresh caches on the
     last seq_len tokens, which is a full forward over that window."""
@@ -269,7 +273,7 @@ def greedy_decode(model: TransformerModel, prompt: np.ndarray, n_new: int) -> np
     with ad.no_grad():
         for _ in range(n_new):
             if not caches or len(caches[0]) == cfg.seq_len:
-                caches = [KvCache(cfg.kv_bits) for _ in model.blocks]
+                caches = [KvCache(cfg.kv_bits, cfg.seq_len) for _ in model.blocks]
                 feed = tokens[:, -cfg.seq_len:]
             logits = model_forward(model, feed, caches)
             feed = np.argmax(logits.value[:, -1, :], axis=-1)[:, None]

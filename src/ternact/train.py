@@ -328,8 +328,7 @@ def ste_contract(rng: np.random.Generator) -> tuple[bool, bool]:
         g = rng.standard_normal(ctx.shape)
         ad.vsum(ad.mul(ctx, ad.Var(g))).backward()
         q = fake_quant(ad.rope(heads[0], pos), QuantScheme.unsigned(4))
-        k = kv_fake_quant_values(ad.rope(heads[1], pos), kv_bits, pos)
-        v = kv_fake_quant_values(heads[2], kv_bits, pos)
+        k, v = kv_fake_quant_values(np.stack((ad.rope(heads[1], pos), heads[2])), kv_bits)
         p = ad.softmax(q @ np.swapaxes(k, -1, -2) * scale + causal_mask(t))
         go = g.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
         dp = go @ np.swapaxes(v, -1, -2)

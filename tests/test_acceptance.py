@@ -237,7 +237,7 @@ def test_07_kv_cache(report, toy_run, tmp_path):
 
     # 8-bit storage is raw: cache round-trip and attention output untouched
     heads = rng.standard_normal((2, 4, 6, 8))
-    cache8 = KvCache(kv_bits=8)
+    cache8 = KvCache(kv_bits=8, capacity=6)
     for pos in range(heads.shape[2]):
         cache8.store(np.stack((heads, heads))[..., pos : pos + 1, :])
     roundtrip_ok = np.array_equal(cache8.read()[0], heads) and np.array_equal(
@@ -254,7 +254,7 @@ def test_07_kv_cache(report, toy_run, tmp_path):
     with ad.no_grad():
         plain = attention_forward(Var(x), qkv, out, n_heads=2).value
         with_cache = attention_forward(
-            Var(x), qkv, out, n_heads=2, kv_bits=8, cache=KvCache(kv_bits=8)
+            Var(x), qkv, out, n_heads=2, kv_bits=8, cache=KvCache(kv_bits=8, capacity=5)
         ).value
         kv4 = attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=4).value
     identical8 = np.array_equal(plain, with_cache)
@@ -267,7 +267,7 @@ def test_07_kv_cache(report, toy_run, tmp_path):
     bound_ok = bool(np.all(err <= q4.scales[..., None] / 15.0))
 
     # 3-bit cache keeps the first position at 4 bits
-    cache3 = KvCache(kv_bits=3)
+    cache3 = KvCache(kv_bits=3, capacity=3)
     for pos in range(3):
         cache3.store(np.stack((heads, heads))[..., pos : pos + 1, :])
     bos_ok = all(
@@ -275,7 +275,7 @@ def test_07_kv_cache(report, toy_run, tmp_path):
         for pos, bits in ((0, 4), (1, 3), (2, 3))
     )
     vals = rng.standard_normal((2, 5, 8))
-    fq3 = kv_fake_quant_values(vals, 3, np.arange(5))
+    fq3 = kv_fake_quant_values(vals, 3)
     bos_col = fake_quant(vals[:, 0, :], QuantScheme.unsigned(4))
     bos_ok = bos_ok and np.array_equal(fq3[:, 0, :], bos_col)
 

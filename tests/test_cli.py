@@ -477,16 +477,16 @@ def test_bad_input_leaves_no_out_dir(tmp_path, capsys, command):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command,offset,byte",
-    [("sparsity", 13, 0xFF), ("sparsity", 16, 0xFF), ("quant", 12, 0x7F)],
-    ids=["sparsity-header-length", "sparsity-header-length-top-byte", "quant-dim-top-byte"],
+    [("sparsity", 13, 0xFF), ("sparsity", 16, 0xFF), ("kv-eval", 13, 0xFF), ("quant", 12, 0x7F)],
+    ids=["sparsity-header-length", "sparsity-header-length-top-byte", "kv-eval-header-length", "quant-dim-top-byte"],
 )
 def test_length_field_past_the_file_is_one_error_line(trained_dir, tmp_path, capsys, command, offset, byte):
     # a checkpoint's header length or a tensor's dim that claims more bytes
     # than the file holds exits 1 with one error line, not a traceback
-    if command == "sparsity":
+    if command != "quant":
         path = tmp_path / "corrupt.ckpt"
         path.write_bytes((trained_dir / "final.ckpt").read_bytes())
-        argv = ["sparsity", "--checkpoint", str(path)]
+        argv = [command, "--checkpoint", str(path)]
     else:
         path = tmp_path / "corrupt.ba48"
         save_tensor(path, np.ones(16))
@@ -512,6 +512,23 @@ def test_bad_report_flag_names_the_flag(trained_dir, tmp_path, capsys, command, 
         argv += ["--site", "qkv"]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag} must be at least 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("sparsity", "--seed"), ("hist", "--seed"), ("kv-eval", "--seed"), ("quant", "--seed"), ("quant", "--config")],
+)
+def test_flag_nothing_reads_is_a_usage_error(tmp_path, capsys, command, flag):
+    # the reports read no seed and quant reads no config: such a flag exits 1
+    # at the parser and creates no out-dir
+    out = tmp_path / "out"
+    argv = {"quant": ["--tensor", "x.ba48", "--scheme", "int8"], "hist": ["--checkpoint", "x", "--site", "qkv"]}
+    argv = [command, *argv.get(command, ["--checkpoint", "x"]), "--out-dir", str(out), flag, "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -236,21 +236,26 @@ class TestKvCodeBits:
     @pytest.mark.parametrize("kv_bits", [3, 4])
     def test_fake_quant_and_cache_store_at_the_rule_bits(self, kv_bits):
         k = RNG.standard_normal((2, 4, 8))
-        cache = KvCache(kv_bits=kv_bits)
+        cache, fq_cache = KvCache(kv_bits, 3), KvCache(kv_bits, 3)
         for position in range(3):
             cache.store(np.stack((k, k))[..., None, :])
             expected = fake_quant(k, QuantScheme.unsigned(kv_code_bits(position, kv_bits)))
             np.testing.assert_array_equal(cache.read()[0][..., position, :], expected)
-            fq = kv_fake_quant_values(k[..., None, :], kv_bits, np.array([position]))
-            np.testing.assert_array_equal(fq[..., 0, :], expected)
+            fq = kv_fake_quant_values(np.stack((k, k))[..., None, :], kv_bits, fq_cache)
+            np.testing.assert_array_equal(fq[..., position, :], np.stack((expected, expected)))
 
     @pytest.mark.parametrize("start", [0, 1, 6])
     @pytest.mark.parametrize("kv_bits", [3, 4])
     def test_one_call_equals_quantize_row_by_row(self, kv_bits, start):
+        # positions from ``start`` on, reached through a cache that holds
+        # ``start`` positions
         kv = RNG.standard_normal((2, 3, 5, 8))
         kv[0, 1, 2] = 0.0  # a zero group reads back zero
         positions = np.arange(start, start + 5)
-        got = kv_fake_quant_values(kv, kv_bits, positions)
+        cache = KvCache(kv_bits, start + 5)
+        if start:
+            cache.store(RNG.standard_normal((2, 3, start, 8)))
+        got = kv_fake_quant_values(kv, kv_bits, cache)[..., start:, :]
         assert got.shape == kv.shape
         assert not got[0, 1, 2].any()
         for t, position in enumerate(positions):
@@ -265,14 +270,14 @@ class TestKvCodeBits:
         # cache, and every other group is as it would be without it. The
         # cache stores a NaN code as 0 without a cast warning.
         kv = RNG.standard_normal((2, 3, 8))
-        clean = kv_fake_quant_values(kv, 3, np.arange(3))
+        clean = kv_fake_quant_values(kv, 3)
         kv[1, 2, 5] = bad
-        cache = KvCache(3)
+        cache = KvCache(3, 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cache.store(kv)
         assert not [w for w in caught if "in cast" in str(w.message)]
-        for got in (kv_fake_quant_values(kv, 3, np.arange(3)), cache.read()):
+        for got in (kv_fake_quant_values(kv, 3), cache.read()):
             assert not np.isfinite(got[1, 2]).any()
             got[1, 2] = clean[1, 2]
             np.testing.assert_array_equal(got, clean)
@@ -282,38 +287,41 @@ class TestKvQuant:
     def test_four_bit_error_bound(self):
         # per-entry error <= gamma_head / 15 from the unsigned bound
         k = RNG.standard_normal((2, 4, 8, 16))
-        out = kv_fake_quant_values(k, 4, np.arange(8))
+        out = kv_fake_quant_values(k, 4)
         gamma = np.max(np.abs(k), axis=-1, keepdims=True)
         assert np.all(np.abs(out - k) <= gamma / 15.0 + 1e-15)
 
     def test_three_bit_keeps_position_zero_at_four_bits(self):
-        k = RNG.standard_normal((1, 2, 3, 8))
-        out = kv_fake_quant_values(k, 3, np.arange(3))
-        expected_bos = kv_fake_quant_values(k[..., :1, :], 4, np.array([0]))
+        kv = RNG.standard_normal((2, 1, 2, 3, 8))
+        out = kv_fake_quant_values(kv, 3)
+        expected_bos = kv_fake_quant_values(kv[..., :1, :], 4)
         np.testing.assert_array_equal(out[..., :1, :], expected_bos)
         # later positions really are 3-bit: at most 8 distinct levels per head
         for h in range(2):
-            vals = np.unique(out[0, h, 1, :])
+            vals = np.unique(out[0, 0, h, 1, :])
             assert vals.size <= 8
 
     def test_bos_rule_only_at_absolute_position_zero(self):
-        k = RNG.standard_normal((1, 1, 3, 8))
-        shifted = kv_fake_quant_values(k, 3, np.array([5, 6, 7]))
-        plain3 = kv_fake_quant_values(k, 3, np.array([1, 2, 3]))
-        np.testing.assert_array_equal(shifted, plain3)
-
-    def test_kv_bits_validated(self):
-        with pytest.raises(ValueError):
-            kv_fake_quant_values(np.zeros((1, 1, 1, 4)), 8, np.array([0]))
+        # the same K/V at positions 5-7 and at 1-3, each reached through a
+        # cache that holds the earlier positions
+        kv = RNG.standard_normal((2, 1, 1, 3, 8))
+        reads = []
+        for start in (5, 1):
+            cache = KvCache(3, start + 3)
+            cache.store(RNG.standard_normal((2, 1, 1, start, 8)))
+            reads.append(kv_fake_quant_values(kv, 3, cache)[..., start:, :])
+        np.testing.assert_array_equal(*reads)
 
 
 class TestKvCache:
-    def test_bits_validated(self):
-        with pytest.raises(ValueError):
-            KvCache(kv_bits=5)
+    def test_bits_and_capacity_validated(self):
+        with pytest.raises(ValueError, match="kv_bits must be one of"):
+            KvCache(5, 4)
+        with pytest.raises(ValueError, match="at least one position"):
+            KvCache(3, 0)
 
     def test_three_bit_cache_has_four_bit_bos(self):
-        cache = KvCache(kv_bits=3)
+        cache = KvCache(3, 2)
         k = RNG.standard_normal((2, 4, 64))
         cache.store(np.stack((k, k))[..., None, :])
         cache.store(np.stack((k, k))[..., None, :])
@@ -325,7 +333,7 @@ class TestKvCache:
         assert max(levels[1]) <= 8
 
     def test_off_mode_roundtrip_exact(self):
-        cache = KvCache(kv_bits=8)
+        cache = KvCache(8, 1)
         k = RNG.standard_normal((2, 4, 8))
         v = RNG.standard_normal((2, 4, 8))
         cache.store(np.stack((k, v))[..., None, :])
@@ -337,7 +345,7 @@ class TestKvCache:
         k = RNG.standard_normal((2, 4, 3, 8))
         k2 = k.copy()
         k2[1, 2, 1] *= 2.0
-        caches = [KvCache(kv_bits=4), KvCache(kv_bits=4)]
+        caches = [KvCache(4, 3), KvCache(4, 3)]
         for cache, keys in zip(caches, (k, k2)):
             for pos in range(3):
                 cache.store(np.stack((keys, keys))[..., pos : pos + 1, :])
@@ -352,20 +360,20 @@ class TestKvCache:
         # idempotence makes the stored dequantized cache equal the in-call K
         for kv_bits in (3, 4):
             k = RNG.standard_normal((2, 4, 6, 8))
-            fq = kv_fake_quant_values(k, kv_bits, np.arange(6))
-            cache = KvCache(kv_bits=kv_bits)
+            fq = kv_fake_quant_values(k, kv_bits)
+            cache = KvCache(kv_bits, 6)
             for pos in range(6):
                 cache.store(np.stack((fq, fq))[..., pos : pos + 1, :])
             np.testing.assert_array_equal(cache.read()[0], fq)
 
     def test_empty_cache_read_rejected(self):
         with pytest.raises(ValueError):
-            KvCache().read()
+            KvCache(8, 1).read()
 
     @pytest.mark.parametrize("kv_bits", [3, 4, 8])
     def test_chunked_stores_equal_one_position_stores(self, kv_bits):
         kv = RNG.standard_normal((2, 2, 4, 11, 8))
-        one_by_one, chunked = KvCache(kv_bits), KvCache(kv_bits)
+        one_by_one, chunked = KvCache(kv_bits, 11), KvCache(kv_bits, 11)
         for pos in range(11):
             one_by_one.store(kv[..., pos : pos + 1, :])
         for lo, hi in ((0, 1), (1, 4), (4, 5), (5, 11)):
@@ -380,7 +388,7 @@ class TestKvCache:
             np.testing.assert_array_equal(chunked.read()[..., p, :], want)
 
     def test_raw_read_is_a_read_only_snapshot(self):
-        cache = KvCache(kv_bits=8)
+        cache = KvCache(8, 8)
         cache.store(RNG.standard_normal((2, 1, 2, 3, 4)))
         keys = cache.read()[0]
         with pytest.raises(ValueError):
@@ -395,16 +403,16 @@ class TestKvCache:
         # kv_fake_quant_values(..., cache) quantizes the new K/V once, into
         # the cache, and returns every stored position: bit-equal to store
         # then read, and to the fake-quant of the whole prefix, chunk by
-        # chunk across a buffer growth
-        total = 2 * KvCache.MIN_CAPACITY + 5
+        # chunk up to the capacity
+        total = 37
         kv = RNG.standard_normal((2, 1, 2, total, 8))
-        direct, stored = KvCache(kv_bits), KvCache(kv_bits)
-        bounds = [0, 1, 4, KvCache.MIN_CAPACITY - 1, KvCache.MIN_CAPACITY + 2, total]
+        direct, stored = KvCache(kv_bits, total), KvCache(kv_bits, total)
+        bounds = [0, 1, 4, 15, 18, total]
         for lo, hi in zip(bounds, bounds[1:]):
             direct.store(kv[..., lo:hi, :])
-            got = kv_fake_quant_values(kv[..., lo:hi, :], kv_bits, range(lo, hi), stored)
+            got = kv_fake_quant_values(kv[..., lo:hi, :], kv_bits, stored)
             np.testing.assert_array_equal(got, direct.read())
-            np.testing.assert_array_equal(got, kv_fake_quant_values(kv[..., :hi, :], kv_bits, np.arange(hi)))
+            np.testing.assert_array_equal(got, kv_fake_quant_values(kv[..., :hi, :], kv_bits))
         assert len(stored) == total
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
@@ -413,13 +421,13 @@ class TestKvCache:
         # the group that holds a NaN or inf reads back non-finite from the
         # cache, and every other group as it would without it
         kv = RNG.standard_normal((2, 1, 3, 4, 8))
-        clean = kv_fake_quant_values(kv, 3, np.arange(4))
+        clean = kv_fake_quant_values(kv, 3)
         kv[1, 0, 2, 3, 5] = bad
-        cache = KvCache(3)
-        kv_fake_quant_values(kv[..., :3, :], 3, range(3), cache)
+        cache = KvCache(3, 4)
+        kv_fake_quant_values(kv[..., :3, :], 3, cache)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = kv_fake_quant_values(kv[..., 3:, :], 3, range(3, 4), cache)
+            got = kv_fake_quant_values(kv[..., 3:, :], 3, cache)
         assert not [w for w in caught if "in cast" in str(w.message)]
         assert not np.isfinite(got[1, 0, 2, 3]).any()
         got[1, 0, 2, 3] = clean[1, 0, 2, 3]
@@ -427,44 +435,29 @@ class TestKvCache:
 
     def test_store_rejects_unstacked_heads_or_other_bits(self):
         with pytest.raises(ValueError, match="leading axis of 2"):
-            KvCache(3).store(RNG.standard_normal((3, 2, 1, 8)))
+            KvCache(3, 1).store(RNG.standard_normal((3, 2, 1, 8)))
         with pytest.raises(ValueError, match="kv_bits=3"):
-            kv_fake_quant_values(RNG.standard_normal((2, 2, 1, 8)), 4, range(1), KvCache(3))
-
-    @pytest.mark.parametrize("positions", [range(5, 6), np.array([1]), range(0, 2)], ids=["later", "array", "longer"])
-    def test_store_rejects_positions_the_cache_does_not_hold_next(self, positions):
-        # a cached fake-quant stores at the cache's next positions; any other
-        # positions are refused before the cache changes, not stored at them
-        cache = KvCache(3)
-        with pytest.raises(ValueError, match="not the next ones"):
-            kv_fake_quant_values(RNG.standard_normal((2, 1, 2, 1, 8)), 3, positions, cache)
-        assert len(cache) == 0
+            kv_fake_quant_values(RNG.standard_normal((2, 2, 1, 8)), 4, KvCache(3, 1))
 
     @pytest.mark.parametrize("kv_bits", [3, 4, 8])
-    def test_growth_keeps_every_position(self, kv_bits):
-        # uneven chunks grow the cache three times; a raw read
-        # taken before a growth still holds what it held
-        total = 5 * KvCache.MIN_CAPACITY + 3
-        k = RNG.standard_normal((1, 2, total, 8))
-        v = RNG.standard_normal((1, 2, total, 8))
-        cache = KvCache(kv_bits)
-        bounds = [0, 3, 4, KvCache.MIN_CAPACITY - 1, KvCache.MIN_CAPACITY + 6, 3 * KvCache.MIN_CAPACITY, total]
-        snapshots = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            cache.store(np.stack((k, v))[..., lo:hi, :])
-            read = cache.read()
-            want = np.stack((k, v))[..., :hi, :]
-            if kv_bits != 8:
-                want = kv_fake_quant_values(want, kv_bits, np.arange(hi))
-            np.testing.assert_array_equal(read, want)
-            snapshots.append((read, read.copy()))
-        assert len(cache) == total
-        if kv_bits == 8:
-            for read, copy in snapshots:
-                np.testing.assert_array_equal(read, copy)
+    def test_store_past_capacity_rejected_before_writing(self, kv_bits):
+        # the buffers are sized once: a store that would run past the
+        # capacity is refused, and what the cache holds is unchanged
+        kv = RNG.standard_normal((2, 1, 2, 6, 8))
+        cache = KvCache(kv_bits, 5)
+        cache.store(kv[..., :4, :])
+        before = cache.read().copy()
+        with pytest.raises(ValueError, match="exceed the cache's capacity of 5"):
+            cache.store(kv[..., 4:, :])
+        assert len(cache) == 4
+        np.testing.assert_array_equal(cache.read(), before)
+        cache.store(kv[..., 4:5, :])
+        assert len(cache) == 5
+        with pytest.raises(ValueError, match="capacity"):
+            KvCache(kv_bits, 5).store(kv)
 
     def test_mismatched_heads_rejected(self):
-        cache = KvCache(kv_bits=3)
+        cache = KvCache(3, 2)
         cache.store(RNG.standard_normal((2, 2, 1, 8)))
         with pytest.raises(ValueError, match="do not match the cached"):
             cache.store(RNG.standard_normal((2, 3, 1, 8)))
@@ -538,7 +531,7 @@ class TestAttention:
 
     def test_cache_populated_during_forward(self):
         qkv, out = base_attention_setup(seed=35)
-        cache = KvCache(kv_bits=4)
+        cache = KvCache(4, 4)
         x = RNG.standard_normal((1, 4, 16))
         with ad.no_grad():
             attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=4, cache=cache)
@@ -551,7 +544,7 @@ class TestAttention:
         qkv, out = base_attention_setup(seed=38)
         out.k_fraction = None
         x = RNG.standard_normal((2, 7, 16))
-        cache = KvCache(kv_bits=kv_bits)
+        cache = KvCache(kv_bits, 7)
         with ad.no_grad():
             full = attention_forward(Var(x), qkv, out, n_heads=2, kv_bits=kv_bits, q_bits=q_bits).value
             chunks = [
@@ -566,9 +559,9 @@ class TestAttention:
         qkv, out = base_attention_setup(seed=39)
         x = Var(RNG.standard_normal((1, 2, 16)))
         with pytest.raises(ValueError, match="no_grad"):
-            attention_forward(x, qkv, out, n_heads=2, cache=KvCache(kv_bits=8))
+            attention_forward(x, qkv, out, n_heads=2, cache=KvCache(8, 2))
         with ad.no_grad(), pytest.raises(ValueError, match="kv_bits=4"):
-            attention_forward(x, qkv, out, n_heads=2, kv_bits=3, cache=KvCache(kv_bits=4))
+            attention_forward(x, qkv, out, n_heads=2, kv_bits=3, cache=KvCache(4, 2))
 
     def test_head_divisibility_checked(self):
         qkv, out = base_attention_setup(seed=36)
@@ -617,7 +610,7 @@ class TestAttention:
         positions = np.arange(t)
         heads = RNG.standard_normal((3, b, n_heads, t, hd))
         heads[0] = fake_quant(heads[0], QuantScheme.unsigned(4))
-        heads[1:] = kv_fake_quant_values(heads[1:], kv_bits, positions)
+        heads[1:] = kv_fake_quant_values(heads[1:], kv_bits)
         heads[:2] = ad.rope_adjoint(heads[:2], positions)
         qkv = heads.transpose(1, 3, 0, 2, 4).reshape(b, t, 3 * n_heads * hd)
         g = RNG.standard_normal((b, t, n_heads * hd))

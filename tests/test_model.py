@@ -584,7 +584,7 @@ class TestIncrementalDecode:
             return unsigned_codes(x, scales, levels)
 
         monkeypatch.setattr(layers_mod, "unsigned_codes", counting)
-        caches = [KvCache(kv_bits) for _ in model.blocks]
+        caches = [KvCache(kv_bits, cfg.seq_len) for _ in model.blocks]
         with ad.no_grad():
             for tokens in (np.array([[1, 2, 3]]), np.array([[4]]), np.array([[5]])):
                 quantized.clear()
@@ -594,13 +594,13 @@ class TestIncrementalDecode:
 
     def test_cache_under_grad_rejected(self):
         model = TransformerModel(tiny_config(), seed=0)
-        caches = [KvCache(8) for _ in model.blocks]
+        caches = [KvCache(8, model.config.seq_len) for _ in model.blocks]
         with pytest.raises(ValueError, match="no_grad"):
             model_forward(model, np.array([[1, 2]]), caches)
 
     def test_cache_overflow_rejected(self):
         model = TransformerModel(tiny_config(seq_len=4), seed=0)
-        caches = [KvCache(8) for _ in model.blocks]
+        caches = [KvCache(8, 4) for _ in model.blocks]
         with ad.no_grad():
             model_forward(model, np.array([[1, 2, 3]]), caches)
             with pytest.raises(ValueError, match="sequence length 5 exceeds seq_len 4"):
@@ -612,9 +612,20 @@ class TestIncrementalDecode:
         model = TransformerModel(tiny_config(kv_bits=3), seed=0)
         with ad.no_grad():
             with pytest.raises(ValueError, match="one KV cache per block"):
-                model_forward(model, np.array([[1]]), [KvCache(3)])
+                model_forward(model, np.array([[1]]), [KvCache(3, 1)])
             with pytest.raises(ValueError, match="kv_bits=8"):
-                model_forward(model, np.array([[1]]), [KvCache(8) for _ in model.blocks])
+                model_forward(model, np.array([[1]]), [KvCache(8, 1) for _ in model.blocks])
+
+    def test_caches_holding_different_positions_rejected(self):
+        # every block's cache must hold the positions the tokens continue;
+        # a mismatch is refused before any cache is written
+        cfg = tiny_config(kv_bits=3)
+        model = TransformerModel(cfg, seed=0)
+        caches = [KvCache(3, cfg.seq_len) for _ in model.blocks]
+        caches[0].store(np.random.default_rng(0).standard_normal((2, 1, cfg.n_heads, 3, cfg.head_dim)))
+        with ad.no_grad(), pytest.raises(ValueError, match=r"different numbers of positions: \[3, 0"):
+            model_forward(model, np.array([[4]]), caches)
+        assert [len(cache) for cache in caches] == [3] + [0] * (len(caches) - 1)
 
 
 class TestOutputDigests:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -456,3 +457,55 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.ckpt", model)
         loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
         assert loaded.head.value[0, 0] == model.head.value[0, 0]
+
+
+def corruptions(blob: bytes):
+    """(label, bytes) for every truncation of ``blob`` and for bytes
+    0x00/0xff/0x7f/0x80 written at each of its first 400 bytes."""
+    for n in range(len(blob)):
+        yield f"truncated to {n} bytes", blob[:n]
+    for offset in range(min(len(blob), 400)):
+        for byte in (0x00, 0xFF, 0x7F, 0x80):
+            data = bytearray(blob)
+            data[offset] = byte
+            yield f"byte {offset} set to {byte:#04x}", bytes(data)
+
+
+class TestCorruptionSweep:
+    """Every corruption of a checkpoint, a dense tensor and a .q48 block of
+    every scheme either loads or raises FormatError, with warnings as
+    errors: no other exception and no warning escapes a reader."""
+
+    def sweep(self, blob: bytes, load) -> None:
+        for label, data in corruptions(blob):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    load(data)
+                except FormatError:
+                    pass
+                except Exception as e:  # name the case that escaped
+                    pytest.fail(f"{label}: {type(e).__name__}: {e}")
+
+    def test_checkpoint(self, tmp_path):
+        config = ModelConfig(hidden_size=4, glu_size=4, n_heads=2, n_layers=1, vocab_size=8, seq_len=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, TransformerModel(config, seed=3))
+        blob = path.read_bytes()
+
+        def load(data):
+            path.write_bytes(data)
+            load_checkpoint(path)
+
+        self.sweep(blob, load)
+
+    def test_dense_tensor(self):
+        buf = io.BytesIO()
+        write_tensor(buf, np.arange(16.0).reshape(4, 4))
+        self.sweep(buf.getvalue(), lambda data: read_tensor(io.BytesIO(data)))
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_quantized_block(self, name):
+        buf = io.BytesIO()
+        write_quantized(buf, quantize(np.random.default_rng(7).standard_normal((2, 4)), SCHEMES[name]))
+        self.sweep(buf.getvalue(), lambda data: read_quantized(io.BytesIO(data)))
