@@ -3,8 +3,8 @@ checking, and measurement reports.
 
 Configuration is a flat JSON object; command-line flags override file values,
 ablation presets expand to ordinary config keys (so a run's manifest shows
-exactly what was bound where), and every run echoes its resolved config plus
-artifact checksums into ``manifest.json`` under the output directory.
+exactly what was bound where), and every command records only the settings
+it read plus artifact checksums in ``manifest.json`` under the output directory.
 
 Exit codes: 0 success, 1 usage or bad input, 2 check failure, 3 divergence
 detected where none was expected (expected divergence is recorded via a
@@ -26,7 +26,7 @@ import numpy as np
 from .data import MarkovChain, MarkovDataConfig, batch_stream
 from .layers import VALID_KV_BITS, VALID_Q_BITS, Site
 from .metrics import activation_histogram, eval_perplexity, scheme_label, sparsity_report
-from .model import ModelConfig, Stage, TransformerModel, stage_bindings
+from .model import BINDINGS, ModelConfig, TransformerModel
 from .quantcore import SCHEMES, Granularity, dequantize, quantize
 from .tensorio import (
     FormatError,
@@ -72,64 +72,22 @@ DEFAULTS: dict = {
     "divergence_expected": False,
 }
 
-_SCHEME_NAMES = {scheme: name for name, scheme in SCHEMES.items()}
-
-# The stage-2 row of model.stage_bindings in the config's JSON form.
-_HYBRID_BINDINGS = {
-    site.value: {"scheme": _SCHEME_NAMES[scheme], "k": k}
-    for site, (scheme, k) in stage_bindings(Stage.STAGE2, fp4_mode=False).items()
-}
-
-
-def _bindings(**overrides) -> dict:
-    merged = copy.deepcopy(_HYBRID_BINDINGS)
-    merged.update(overrides)
-    return merged
-
-
-# hybrid, down-int8 and outproj-topk-on each name a row of the paper's
-# ablations; all three bind the stage-2 mix and share this entry, which
-# resolve_config copies before use.
-_HYBRID_PRESET = {"single_stage": "stage2", "site_bindings": _bindings()}
-
-# Each preset is a plain config overlay: single-stage runs at the named
-# binding mix, identical schedule, so runs differ only in what is quantized.
-# The bindings travel in ModelConfig.site_bindings, so checkpoints keep them.
+# Each preset is a plain config overlay: a single-stage run at a row of
+# model.BINDINGS (hybrid, down-int8 and outproj-topk-on all name the stage-2
+# row), identical schedule, so runs differ only in what is quantized. The
+# bindings travel in ModelConfig.site_bindings, so checkpoints keep them.
 ABLATION_PRESETS: dict[str, dict] = {
-    "hybrid": _HYBRID_PRESET,
-    "full-int4": {
-        "single_stage": "stage2",
-        "divergence_expected": True,
-        "site_bindings": _bindings(
-            attn_out={"scheme": "int4", "k": 0.5},
-            down={"scheme": "int4x2", "k": None},
-        ),
-    },
-    "full-fp4": {
-        "single_stage": "stage2",
-        "site_bindings": {
-            "qkv": {"scheme": "fp4", "k": None},
-            "gate": {"scheme": "fp4", "k": None},
-            "up": {"scheme": "fp4", "k": None},
-            "attn_out": {"scheme": "fp4", "k": 0.5},
-            "down": {"scheme": "fp4", "k": None},
-        },
-    },
-    "down-int8": _HYBRID_PRESET,
-    "down-fp4": {
-        "single_stage": "stage2",
-        "site_bindings": _bindings(down={"scheme": "fp4", "k": None}),
-    },
-    "down-relu2-vs-swish": {
-        "single_stage": "stage2",
-        "activation": "silu",
-        "site_bindings": _bindings(),
-    },
-    "outproj-topk-on": _HYBRID_PRESET,
-    "outproj-topk-off": {
-        "single_stage": "stage2",
-        "site_bindings": _bindings(attn_out={"scheme": "int8", "k": None}),
-    },
+    name: {"single_stage": "stage2", "site_bindings": BINDINGS[row], **settings}
+    for name, row, settings in (
+        ("hybrid", "stage2", {}),
+        ("full-int4", "full-int4", {"divergence_expected": True}),
+        ("full-fp4", "full-fp4", {}),
+        ("down-int8", "stage2", {}),
+        ("down-fp4", "down-fp4", {}),
+        ("down-relu2-vs-swish", "stage2", {"activation": "silu"}),
+        ("outproj-topk-on", "stage2", {}),
+        ("outproj-topk-off", "outproj-topk-off", {}),
+    )
 }
 
 
@@ -211,14 +169,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[Path], **extra) -> None:
+def _write_manifest(out: Path, command: str, artifacts: list[Path], **fields) -> None:
+    """Record the command, its artifacts' checksums and ``fields``: only the
+    settings the command read (``config``, ``seed``), so the manifest states
+    its provenance, and the run's outcome."""
     manifest = {
         "command": command,
-        "config": cfg,
-        "seed": cfg.get("seed"),
         "out_dir": str(out),
         "artifacts": {p.name: _sha256(p) for p in artifacts},
-        **extra,
+        **fields,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -240,12 +199,22 @@ def _load_model(path: str) -> tuple[TransformerModel, dict]:
 
 def _eval_stream(cfg: dict, model: TransformerModel, extra: dict):
     """Held-out batches matching the checkpoint's data parameters (falling
-    back to the resolved config) and the model's own vocabulary."""
-    merged = dict(cfg)
-    merged.update(extra.get("data", {}))
-    merged["vocab_size"] = model.config.vocab_size
-    seq_len = min(merged["seq_len"], model.config.seq_len)
-    return batch_stream(_chain(merged), cfg["batch_size"], seq_len, cfg["eval_seed"])
+    back to the resolved config) and the model's own vocabulary, and the
+    parameters they were drawn with."""
+    data = {**cfg, **extra.get("data", {})}
+    held_out = {
+        "vocab_size": model.config.vocab_size,
+        "n_successors": data["n_successors"],
+        "zipf_exponent": data["zipf_exponent"],
+        "data_seed": data["data_seed"],
+        "seq_len": min(data["seq_len"], model.config.seq_len),
+        "batch_size": cfg["batch_size"],
+        "eval_seed": cfg["eval_seed"],
+    }
+    stream = batch_stream(
+        _chain(held_out), held_out["batch_size"], held_out["seq_len"], held_out["eval_seed"]
+    )
+    return stream, held_out
 
 
 def cmd_train(cfg: dict, args) -> int:
@@ -310,7 +279,7 @@ def cmd_train(cfg: dict, args) -> int:
         marker = out / "diverged.marker"
         marker.write_text(f"step {diverged_step}\n")
         artifacts.append(marker)
-    _write_manifest(out, "train", cfg, artifacts, diverged=diverged_step)
+    _write_manifest(out, "train", artifacts, config=cfg, seed=cfg["seed"], diverged=diverged_step)
     if diverged_step is not None and not cfg["divergence_expected"]:
         return 3
     return 0
@@ -354,7 +323,8 @@ def cmd_gradcheck(cfg: dict, args) -> int:
             "passed": report.passed,
         }
         (out / "gradcheck.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        _write_manifest(out, "gradcheck", cfg, [out / "gradcheck.json"])
+        seeds = {key: cfg[key] for key in ("seed", "data_seed", "stream_seed")}
+        _write_manifest(out, "gradcheck", [out / "gradcheck.json"], config=seeds, seed=cfg["seed"])
     print("PASS" if report.passed else "FAIL")
     return 0 if report.passed else 2
 
@@ -369,7 +339,7 @@ def _check_at_least_one(args, *names: str) -> None:
 def cmd_sparsity(cfg: dict, args) -> int:
     _check_at_least_one(args, "batches")
     model, extra = _load_model(args.checkpoint)
-    stream = _eval_stream(cfg, model, extra)
+    stream, held_out = _eval_stream(cfg, model, extra)
     report = sparsity_report(model, stream, n_batches=args.batches)
     out = _out_dir(args)
     csv_path = out / "sparsity.csv"
@@ -379,14 +349,14 @@ def cmd_sparsity(cfg: dict, args) -> int:
     for site in ("qkv", "out", "up", "gate", "down"):
         print(f"{site}: {report.sparsity_pct[site]:.1f}%")
     print(f"overall: {report.overall_pct:.1f}%  activated params: {report.activated_params:.0f}")
-    _write_manifest(out, "sparsity", cfg, [csv_path, json_path])
+    _write_manifest(out, "sparsity", [csv_path, json_path], config=held_out)
     return 0
 
 
 def cmd_hist(cfg: dict, args) -> int:
     _check_at_least_one(args, "bins", "batches")
     model, extra = _load_model(args.checkpoint)
-    stream = _eval_stream(cfg, model, extra)
+    stream, held_out = _eval_stream(cfg, model, extra)
     hist = activation_histogram(
         model, stream, args.site, bins=args.bins, n_batches=args.batches
     )
@@ -394,7 +364,7 @@ def cmd_hist(cfg: dict, args) -> int:
     path = out / f"hist_{args.site}.csv"
     path.write_text(hist.to_csv_text())
     print(f"{hist.sample_count} samples in {len(hist.counts)} bins -> {path}")
-    _write_manifest(out, "hist", cfg, [path])
+    _write_manifest(out, "hist", [path], config=held_out)
     return 0
 
 
@@ -402,14 +372,14 @@ def cmd_kv_eval(cfg: dict, args) -> int:
     _check_at_least_one(args, "batches")
     model, extra = _load_model(args.checkpoint)
 
-    def ppl(kv_bits: int, q_bits: int) -> float:
+    def ppl(kv_bits: int, q_bits: int) -> tuple[float, dict]:
         model.config.kv_bits = kv_bits
         model.config.q_bits = q_bits
-        stream = _eval_stream(cfg, model, extra)
-        return eval_perplexity(model, stream, n_batches=args.batches)
+        stream, held_out = _eval_stream(cfg, model, extra)
+        return eval_perplexity(model, stream, n_batches=args.batches), held_out
 
-    baseline = ppl(8, 16)
-    variant = ppl(args.kv_bits, args.q_bits)
+    baseline, held_out = ppl(8, 16)
+    variant, _ = ppl(args.kv_bits, args.q_bits)
     degradation = 100.0 * (variant - baseline) / baseline
     out = _out_dir(args)
     csv_path = out / "kv_eval.csv"
@@ -439,7 +409,7 @@ def cmd_kv_eval(cfg: dict, args) -> int:
         f"kv8/q16 perplexity {baseline:.4f}; kv{args.kv_bits}/q{args.q_bits} "
         f"{variant:.4f} ({degradation:+.2f}%)"
     )
-    _write_manifest(out, "kv-eval", cfg, [csv_path, json_path])
+    _write_manifest(out, "kv-eval", [csv_path, json_path], config=held_out)
     return 0
 
 
@@ -470,7 +440,7 @@ def cmd_quant(cfg: dict, args) -> int:
     report_path = out / "quant_stats.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     print(f"{report['scheme']}: mse {report['mse']:.3e}, max abs err {report['max_abs_err']:.3e}")
-    _write_manifest(out, "quant", cfg, [q_path, report_path])
+    _write_manifest(out, "quant", [q_path, report_path])
     return 0
 
 

@@ -7,9 +7,11 @@ and both FFN inputs to 4-bit (integer absmean, or the fp4 grid in fp4 mode),
 puts the half top-K mask in front of the attention output projection, and
 keeps the down projection at int8. Rebinding never touches latent weights.
 
-``ModelConfig.site_bindings`` overlays per-site input schemes on whichever
-stage is bound (the ablation presets), so a checkpoint, which records its
-configuration, reloads with the binding it was trained with.
+``BINDINGS`` holds every per-site binding a run can name: the two stages,
+fp4 mode and the ablation rows. ``ModelConfig.site_bindings`` overlays such
+a row on whichever stage is bound (the ablation presets), so a checkpoint,
+which records its configuration, reloads with the binding it was trained
+with.
 """
 
 from __future__ import annotations
@@ -168,19 +170,43 @@ def parameter_count(config: ModelConfig) -> int:
     return 2 * v * h + h + config.n_layers * per_block
 
 
-def stage_bindings(stage: Stage, fp4_mode: bool) -> dict[Site, tuple[QuantScheme | None, float | None]]:
-    """Per-site (input scheme, top-K fraction) for a training stage."""
+_STAGE2 = {
+    "qkv": {"scheme": "int4", "k": None},
+    "gate": {"scheme": "int4", "k": None},
+    "up": {"scheme": "int4", "k": None},
+    "attn_out": {"scheme": "int8", "k": 0.5},
+    "down": {"scheme": "int8", "k": None},
+}
+_FP4 = {"scheme": "fp4", "k": None}
+
+# Every per-site binding a run can name, in the form of
+# ``ModelConfig.site_bindings``. Each ablation row is the stage-2 row with
+# one change. Rows share their inner dicts: copy a row before changing it.
+BINDINGS: dict[str, dict[str, dict]] = {
+    "stage1": {site.value: {"scheme": "int8", "k": None} for site in Site},
+    "stage2": _STAGE2,
+    "stage2-fp4": {**_STAGE2, "qkv": _FP4, "gate": _FP4, "up": _FP4},
+    "full-int4": {
+        **_STAGE2,
+        "attn_out": {"scheme": "int4", "k": 0.5},
+        "down": {"scheme": "int4x2", "k": None},
+    },
+    "full-fp4": {site: {**binding, "scheme": "fp4"} for site, binding in _STAGE2.items()},
+    "down-fp4": {**_STAGE2, "down": _FP4},
+    "outproj-topk-off": {**_STAGE2, "attn_out": {"scheme": "int8", "k": None}},
+}
+
+
+def _resolved(row: dict) -> dict[Site, tuple[QuantScheme, float | None]]:
+    return {Site(name): (SCHEMES[binding["scheme"]], binding.get("k")) for name, binding in row.items()}
+
+
+def stage_bindings(stage: Stage, fp4_mode: bool) -> dict[Site, tuple[QuantScheme, float | None]]:
+    """Per-site (input scheme, top-K fraction) for a training stage: its row
+    of ``BINDINGS``."""
     stage = Stage(stage)
-    if stage is Stage.STAGE1:
-        return {site: (QuantScheme.int8(), None) for site in Site}
-    four_bit = QuantScheme.fp4() if fp4_mode else QuantScheme.int4()
-    return {
-        Site.QKV: (four_bit, None),
-        Site.GATE: (four_bit, None),
-        Site.UP: (four_bit, None),
-        Site.ATTN_OUT: (QuantScheme.int8(), 0.5),
-        Site.DOWN: (QuantScheme.int8(), None),
-    }
+    row = "stage2-fp4" if fp4_mode and stage is Stage.STAGE2 else stage.value
+    return _resolved(BINDINGS[row])
 
 
 def configure_stage(model: TransformerModel, stage: Stage) -> TransformerModel:
@@ -188,8 +214,7 @@ def configure_stage(model: TransformerModel, stage: Stage) -> TransformerModel:
     the config's ``site_bindings`` laid over the stage's row. Weights are
     ternary in every stage, so this also undoes ``configure_identity``."""
     bindings = stage_bindings(stage, model.config.fp4_mode)
-    for name, binding in (model.config.site_bindings or {}).items():
-        bindings[Site(name)] = (SCHEMES[binding["scheme"]], binding.get("k"))
+    bindings.update(_resolved(model.config.site_bindings or {}))
     for layer in model.projection_layers():
         layer.input_scheme, layer.k_fraction = bindings[layer.site]
         layer.weight_scheme = QuantScheme.ternary()
@@ -217,8 +242,8 @@ def model_forward(model: TransformerModel, tokens: np.ndarray, caches: list[KvCa
     ``NonFiniteValueError`` naming it."""
     cfg = model.config
     tokens = np.asarray(tokens)
-    if tokens.ndim != 2:
-        raise ValueError("tokens must be (batch, len)")
+    if tokens.ndim != 2 or 0 in tokens.shape:
+        raise ValueError(f"tokens must be a non-empty (batch, len) array, got shape {tokens.shape}")
     if caches is None:
         caches, past = [None] * len(model.blocks), 0
     elif len(caches) != len(model.blocks):

@@ -1,7 +1,8 @@
 """Acceptance gate. One test per numbered criterion; each prints a single
 [acceptance N] PASS/FAIL line straight to the terminal (bypassing capture)
 so a plain ``pytest -v`` run shows the whole scoreboard. The training-based
-criteria share two module-scoped runs to keep total runtime in minutes.
+criteria share four module-scoped training runs, which run side by side as
+subprocesses to keep total runtime in minutes.
 """
 
 from __future__ import annotations
@@ -9,11 +10,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ternact
 from quant_properties import check_idempotence, random_rows, run_suite
 from ternact import autodiff as ad
 from ternact.autodiff import Var
@@ -58,25 +65,66 @@ def _smoothed(losses, upto, window=100):
     return sum(xs) / len(xs)
 
 
+# The default run, then the three presets acceptance 6 orders.
+TRAIN_RUNS = {
+    "toy": [],
+    "hybrid": ["--ablation", "hybrid"],
+    "full-fp4": ["--ablation", "full-fp4"],
+    "full-int4": ["--ablation", "full-int4"],
+}
+
+
 @pytest.fixture(scope="module")
-def toy_run(tmp_path_factory):
+def train_runs(tmp_path_factory):
+    """Starts the default-size 600-step ``ternact train`` runs of
+    ``TRAIN_RUNS``, each a subprocess on one BLAS thread, at most one per
+    core at once and in the table's order. Maps each name to a future of its
+    output directory, exit code, stderr and wall time in seconds."""
+    src = str(Path(ternact.__file__).parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+
+    def train(out, flags):
+        t0 = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "ternact.cli", "train", "--out-dir", str(out), *flags],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        seconds = time.perf_counter() - t0
+        return {"dir": out, "code": done.returncode, "stderr": done.stderr, "seconds": seconds}
+
+    pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+    try:
+        yield {
+            name: pool.submit(train, tmp_path_factory.mktemp(name), flags)
+            for name, flags in TRAIN_RUNS.items()
+        }
+    finally:
+        # a run no selected test waited for and that has not started is dropped
+        pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def toy_run(train_runs):
     """Default two-stage training run (hidden 128, 4 layers, 600 steps,
     95/5 split); reused by the loss, KV-perplexity, and sparsity-CSV checks."""
-    out = tmp_path_factory.mktemp("toy")
-    t0 = time.perf_counter()
-    code = run_cli(["train", "--out-dir", str(out)])
-    seconds = time.perf_counter() - t0
-    assert code == 0
-    return {"dir": out, "seconds": seconds}
+    run = train_runs["toy"].result()
+    assert run["code"] == 0, run["stderr"]
+    return run
 
 
 @pytest.fixture(scope="module")
-def ablation_runs(tmp_path_factory):
+def ablation_runs(train_runs):
     runs = {}
     for preset in ("hybrid", "full-fp4", "full-int4"):
-        out = tmp_path_factory.mktemp(preset)
-        code = run_cli(["train", "--out-dir", str(out), "--ablation", preset])
-        assert code == 0, preset
+        run = train_runs[preset].result()
+        assert run["code"] == 0, (preset, run["stderr"])
+        out = run["dir"]
         losses, _ = _read_losses(out / "log.csv")
         manifest = json.loads((out / "manifest.json").read_text())
         runs[preset] = {

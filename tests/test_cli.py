@@ -1,6 +1,7 @@
 """End-to-end command-line runs on miniature models: artifact layout,
 manifest checksums, preset expansion, exit codes, reproducibility."""
 
+import copy
 import json
 import struct
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from ternact import cli
 from ternact.cli import ABLATION_PRESETS, ConfigError, main, resolve_config
-from ternact.model import Stage
+from ternact.layers import Site
+from ternact.model import BINDINGS, Stage, stage_bindings
 from ternact.quantcore import SCHEMES, Granularity
 from ternact.tensorio import CHECKPOINT_MAGIC, load_checkpoint, load_quantized, save_tensor
 
@@ -92,6 +94,73 @@ class TestResolveConfig:
         cfile.write_text(json.dumps({"peak_lr": 1, "fp4_mode": True, "single_stage": "stage2"}))
         cfg = resolve_config(str(cfile), {})
         assert (cfg["peak_lr"], cfg["fp4_mode"], cfg["single_stage"]) == (1, True, "stage2")
+
+
+def _row(qkv, attn_out, gate, up, down):
+    """A per-site binding row from (scheme, k) pairs, in site order."""
+    pairs = zip(("qkv", "attn_out", "gate", "up", "down"), (qkv, attn_out, gate, up, down))
+    return {site: {"scheme": scheme, "k": k} for site, (scheme, k) in pairs}
+
+
+class TestBindingTable:
+    """The paper's per-site bindings, written out here as literals: what
+    each stage binds, and what each ablation preset runs."""
+
+    STAGE1 = _row(("int8", None), ("int8", None), ("int8", None), ("int8", None), ("int8", None))
+    STAGE2 = _row(("int4", None), ("int8", 0.5), ("int4", None), ("int4", None), ("int8", None))
+    STAGE2_FP4 = _row(("fp4", None), ("int8", 0.5), ("fp4", None), ("fp4", None), ("int8", None))
+    # preset: (site_bindings, activation, divergence_expected)
+    PRESETS = {
+        "hybrid": (STAGE2, "relu2", False),
+        "full-int4": (
+            _row(("int4", None), ("int4", 0.5), ("int4", None), ("int4", None), ("int4x2", None)),
+            "relu2",
+            True,
+        ),
+        "full-fp4": (
+            _row(("fp4", None), ("fp4", 0.5), ("fp4", None), ("fp4", None), ("fp4", None)),
+            "relu2",
+            False,
+        ),
+        "down-int8": (STAGE2, "relu2", False),
+        "down-fp4": (
+            _row(("int4", None), ("int8", 0.5), ("int4", None), ("int4", None), ("fp4", None)),
+            "relu2",
+            False,
+        ),
+        "down-relu2-vs-swish": (STAGE2, "silu", False),
+        "outproj-topk-on": (STAGE2, "relu2", False),
+        "outproj-topk-off": (
+            _row(("int4", None), ("int8", None), ("int4", None), ("int4", None), ("int8", None)),
+            "relu2",
+            False,
+        ),
+    }
+
+    def test_paper_bindings(self):
+        def resolved(row):
+            return {Site(site): (SCHEMES[b["scheme"]], b["k"]) for site, b in row.items()}
+
+        for fp4_mode in (False, True):
+            assert stage_bindings(Stage.STAGE1, fp4_mode) == resolved(self.STAGE1)
+        assert stage_bindings(Stage.STAGE2, False) == resolved(self.STAGE2)
+        assert stage_bindings(Stage.STAGE2, True) == resolved(self.STAGE2_FP4)
+        assert set(ABLATION_PRESETS) == set(self.PRESETS)
+        for name, expected in self.PRESETS.items():
+            cfg = resolve_config(None, {"ablation": name})
+            assert cfg["single_stage"] == "stage2", name
+            assert (cfg["site_bindings"], cfg["activation"], cfg["divergence_expected"]) == expected, name
+
+    @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+    def test_resolved_bindings_are_a_copy(self, preset):
+        # the table's rows share inner dicts; a run's config must not
+        table, presets = copy.deepcopy(BINDINGS), copy.deepcopy(ABLATION_PRESETS)
+        bindings = resolve_config(None, {"ablation": preset})["site_bindings"]
+        for binding in bindings.values():
+            binding.update(scheme="int8", k=1.0)
+        bindings["qkv"] = {"scheme": "fp4", "k": None}
+        assert BINDINGS == table
+        assert ABLATION_PRESETS == presets
 
 
 class TestTrain:
@@ -530,6 +599,39 @@ def test_flag_nothing_reads_is_a_usage_error(tmp_path, capsys, command, flag):
     assert exc.value.code == 1
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+HELD_OUT = {
+    "vocab_size": 32, "n_successors": 8, "zipf_exponent": 1.0, "data_seed": 0,
+    "seq_len": 8, "batch_size": 16, "eval_seed": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "command, recorded",
+    [("gradcheck", {"seed": 0, "data_seed": 0, "stream_seed": 1}), ("sparsity", HELD_OUT),
+     ("hist", HELD_OUT), ("kv-eval", HELD_OUT), ("quant", None)],
+)
+def test_manifest_records_only_what_the_command_read(trained_dir, tmp_path, command, recorded):
+    # a report records the held-out data parameters it drew batches with
+    # (here the checkpoint's vocabulary and length), and no seed; quant
+    # reads no config
+    tensor = tmp_path / "x.ba48"
+    save_tensor(tensor, np.arange(8.0).reshape(2, 4))
+    checkpoint = ["--checkpoint", str(trained_dir / "final.ckpt"), "--batches", "1"]
+    argv = {
+        "gradcheck": ["--samples", "2"],
+        "sparsity": checkpoint,
+        "hist": [*checkpoint, "--site", "qkv"],
+        "kv-eval": checkpoint,
+        "quant": ["--tensor", str(tensor), "--scheme", "int8"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest.get("config") == recorded
+    assert manifest.get("seed") == (recorded or {}).get("seed")
+    assert ("seed" in manifest) == ("seed" in (recorded or {}))
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,24 @@ class TestPerplexity:
         ppl = eval_perplexity(model, tiny_stream(), n_batches=2)
         assert ppl == pytest.approx(32.0, rel=1e-9)
 
+    def test_exp_of_mean_token_nll_over_batches(self):
+        # three batches whose losses differ, so a median, or a mean of
+        # per-batch perplexities, misses exp of the mean token NLL
+        model = tiny_model(stage=Stage.STAGE2)
+        model.head.value = model.head.value * 50.0
+        stream = tiny_stream(seed=9)
+        batches = [next(stream) for _ in range(3)]
+        nll = []
+        for inputs, targets in batches:
+            with ad.no_grad():
+                logits = model_forward(model, inputs).value
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            nll.append(-np.take_along_axis(logp, targets[..., None], axis=-1))
+        assert len({float(n.mean()) for n in nll}) == 3
+        expected = np.exp(np.concatenate(nll).mean())
+        assert eval_perplexity(model, iter(batches), n_batches=3) == pytest.approx(expected, rel=1e-12)
+
     def test_deterministic(self):
         model = tiny_model(stage=Stage.STAGE2)
         a = eval_perplexity(model, tiny_stream(seed=9), n_batches=2)

@@ -183,6 +183,9 @@ class TestForward:
             model_forward(model, np.arange(6))
         with pytest.raises(ValueError):
             model_forward(model, np.zeros((1, 17), dtype=np.int64))
+        for shape in ((1, 0), (0, 3)):
+            with pytest.raises(ValueError, match="non-empty"):
+                model_forward(model, np.zeros(shape, dtype=np.int64))
 
     def test_forward_is_deterministic_and_pure(self):
         model = TransformerModel(tiny_config(), seed=1)
